@@ -20,6 +20,7 @@ from .bench import (
 )
 from .core import (
     AlignmentResult,
+    CostOverflowError,
     PathVerdict,
     QuantizedSeries,
     TimeSeries,
@@ -59,6 +60,7 @@ __all__ = [
     "BenchRecord",
     "BrokenPathError",
     "CostMatrix",
+    "CostOverflowError",
     "DCAlignmentResult",
     "DataFormatError",
     "MatrixBudgetError",

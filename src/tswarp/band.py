@@ -11,9 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import AlignmentResult, TimeSeries, WarpingPath, normalized_distance
+from .core import (
+    AlignmentResult,
+    TimeSeries,
+    WarpingPath,
+    backtrack_path,
+    check_cost_range,
+    normalized_distance,
+    sweep_column,
+)
 
 __all__ = [
     "BandSpec",
@@ -59,35 +65,66 @@ def _row_range(j: int, n: int, m: int, width: int) -> tuple[int, int]:
     return max(1, lo), min(n, hi)
 
 
-def _open_rows(j: int, n: int, m: int, width: int) -> tuple[int, int, bool, bool]:
-    """Row range plus whether a corner cell is force-included in column j."""
+def _runs(j: int, n: int, m: int, width: int) -> list[tuple[int, int]]:
+    """Maximal 1-based row runs (first, last) of column j's open cells.
+
+    The band's centre line passes through (n, m), so that corner is
+    always in band; (1, 1) can fall outside on strongly non-square
+    matrices and is forced into column 1, joining the band's run when
+    adjacent to it.
+    """
     lo, hi = _row_range(j, n, m, width)
-    corner_start = j == 1 and not (lo <= 1 <= hi)
-    corner_end = j == m and not (lo <= n <= hi)
-    return lo, hi, corner_start, corner_end
+    runs = [(lo, hi)] if lo <= hi else []
+    if j == 1 and not lo <= 1 <= hi:
+        if runs and lo == 2:
+            runs = [(1, hi)]
+        else:
+            runs.insert(0, (1, 1))
+    return runs
+
+
+def _window(col: tuple[int, list[float]], lo: int, hi: int) -> list[float]:
+    """Costs of rows lo..hi of a stored column, inf outside its cells."""
+    first, costs = col
+    a = max(lo, first)
+    b = min(hi, first + len(costs) - 1)
+    if a > b:
+        return [_INF] * (hi - lo + 1)
+    return [_INF] * (a - lo) + costs[a - first : b - first + 1] + [_INF] * (hi - b)
+
+
+def _sweep(
+    sv: list[float], qv: list[float], width: int
+) -> tuple[list[tuple[int, list[float]]], int]:
+    """Band costs per column as (first row, costs), plus the cell count.
+
+    Column 0 holds only the virtual origin (0, 0) at cost 0.  Rows
+    between two runs of a column are stored as inf.
+    """
+    n = len(sv)
+    m = len(qv)
+    cols = [(0, [0.0])]
+    computed = 0
+    for j in range(1, m + 1):
+        prev = cols[-1]
+        qj = qv[j - 1]
+        runs = _runs(j, n, m, width)
+        first = runs[0][0] if runs else 1
+        costs: list[float] = []
+        for a, b in runs:
+            costs += [_INF] * (a - first - len(costs))
+            pv = _window(prev, a - 1, b)
+            costs += sweep_column(sv[a - 1 : b], qj, pv[1:], pv[0], _INF)
+            computed += b - a + 1
+        cols.append((first, costs))
+    return cols, computed
 
 
 def _connected(n: int, m: int, width: int) -> bool:
-    """Reachability of (n,m) from (1,1) through in-band cells.
-
-    Boolean twin of the cost DP: same cells, same moves.
-    """
-    prev = np.zeros(n + 2, dtype=bool)
-    for j in range(1, m + 1):
-        lo, hi, corner_start, corner_end = _open_rows(j, n, m, width)
-        rows = list(range(lo, hi + 1))
-        if corner_start:
-            rows.insert(0, 1)
-        if corner_end:
-            rows.append(n)
-        cur = np.zeros(n + 2, dtype=bool)
-        for i in rows:
-            if i == 1 and j == 1:
-                cur[1] = True
-            else:
-                cur[i] = prev[i] or prev[i - 1] or cur[i - 1]
-        prev = cur
-    return bool(prev[n])
+    """Reachability of (n,m) from (1,1) through in-band cells: the band
+    sweep over all-zero samples ends finite."""
+    cols, _ = _sweep([0.0] * n, [0.0] * m, width)
+    return cols[m][1][-1] < _INF
 
 
 def min_connecting_width(n: int, m: int) -> int:
@@ -104,63 +141,25 @@ def dtw_band(s: TimeSeries, q: TimeSeries, band: BandSpec) -> AlignmentResult:
     The corner cells (1,1) and (n,m) are always evaluated even if the
     centered band misses them on strongly non-square matrices, so a
     too-narrow band fails with a typed disconnection error rather than
-    silently returning an infinite cost.
+    silently returning an infinite cost.  Only in-band cells are
+    stored, O(w * max(n, m)) of them.
     """
+    check_cost_range(s, q)
     start = time.perf_counter()
-    sv = s.values.tolist()
-    qv = q.values.tolist()
-    n = len(sv)
-    m = len(qv)
+    n = len(s)
+    m = len(q)
     width = band.width
-    D = np.full((n + 1, m + 1), _INF)
-    computed = 0
-    for j in range(1, m + 1):
-        lo, hi, corner_start, corner_end = _open_rows(j, n, m, width)
-        rows = list(range(lo, hi + 1))
-        if corner_start:
-            rows.insert(0, 1)
-        if corner_end:
-            rows.append(n)
-        qj = qv[j - 1]
-        for i in rows:
-            d = sv[i - 1] - qj
-            d = d * d
-            if i == 1 and j == 1:
-                D[1, 1] = d
-            else:
-                best = D[i - 1, j - 1]
-                v = D[i - 1, j]
-                if v < best:
-                    best = v
-                v = D[i, j - 1]
-                if v < best:
-                    best = v
-                D[i, j] = d + best
-            computed += 1
-    raw = float(D[n, m])
+    cols, computed = _sweep(s.values.tolist(), q.values.tolist(), width)
+    raw = cols[m][1][-1]
     if raw == _INF:
         raise BandDisconnectedError(width, min_connecting_width(n, m))
-    # Backtrack with the same tie-breaking as the full algorithm.
-    i, j = n, m
-    rev = [(i, j)]
-    while i > 1 or j > 1:
-        if i == 1:
-            j -= 1
-        elif j == 1:
-            i -= 1
-        else:
-            diag = D[i - 1, j - 1]
-            vert = D[i - 1, j]
-            horz = D[i, j - 1]
-            if diag <= vert and diag <= horz:
-                i -= 1
-                j -= 1
-            elif vert <= horz:
-                i -= 1
-            else:
-                j -= 1
-        rev.append((i, j))
-    path = WarpingPath(reversed(rev))
+
+    def cost(i: int, j: int) -> float | None:
+        first, costs = cols[j]
+        k = i - first
+        return costs[k] if 0 <= k < len(costs) else None
+
+    path = WarpingPath(backtrack_path(cost, n, m))
     elapsed = time.perf_counter() - start
     return AlignmentResult(
         path=path,

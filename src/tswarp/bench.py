@@ -7,7 +7,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "pearson",
     "load_series",
     "run_benchmark",
+    "matches_optimum",
     "write_csv",
     "CSV_HEADER",
 ]
@@ -186,6 +187,11 @@ def _median(xs: list[float]) -> float:
     return ys[mid] if k % 2 else (ys[mid - 1] + ys[mid]) / 2.0
 
 
+def matches_optimum(raw_cost: float, optimum: float) -> bool:
+    """Whether a cost equals the optimal cost, to a relative 1e-9."""
+    return abs(raw_cost - optimum) <= 1e-9 * max(1.0, abs(optimum))
+
+
 def run_benchmark(
     pairs: Iterable[tuple[str, TimeSeries, TimeSeries]],
     algorithms: dict[str, Callable[[TimeSeries, TimeSeries], "object"]],
@@ -226,9 +232,7 @@ def run_benchmark(
                     )
                 if baseline is None:
                     optimal = "unknown"
-                elif abs(result.raw_cost - baseline) <= 1e-9 * max(
-                    1.0, abs(baseline)
-                ):
+                elif matches_optimum(result.raw_cost, baseline):
                     optimal = "yes"
                 else:
                     optimal = "no"
@@ -257,23 +261,27 @@ def run_benchmark(
     return records, failures
 
 
-def write_csv(records: list[BenchRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.dataset,
-                    r.algorithm,
-                    r.params,
-                    r.n,
-                    r.m,
-                    r.open_cells,
-                    r.path_K,
-                    f"{r.elapsed_ms:.3f}",
-                    f"{r.raw_cost:.9g}",
-                    f"{r.normalized_distance:.9g}",
-                    r.optimal,
-                ]
-            )
+def write_csv(records: list[BenchRecord], out: str | Path | TextIO) -> None:
+    """Write records as CSV to a path or to an open text stream."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w", newline="") as fh:
+            write_csv(records, fh)
+        return
+    w = csv.writer(out)
+    w.writerow(CSV_HEADER)
+    for r in records:
+        w.writerow(
+            [
+                r.dataset,
+                r.algorithm,
+                r.params,
+                r.n,
+                r.m,
+                r.open_cells,
+                r.path_K,
+                f"{r.elapsed_ms:.3f}",
+                f"{r.raw_cost:.9g}",
+                f"{r.normalized_distance:.9g}",
+                r.optimal,
+            ]
+        )

@@ -1,8 +1,8 @@
 """Command-line interface: align, compare, gen, bench.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 algorithm
-failure (band disconnection, sparse connectivity diagnostic, budget
-exhaustion).
+failure (band disconnection, cost overflow, sparse connectivity
+diagnostic, budget exhaustion).
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ from .bench import (
     SyntheticSpec,
     generate_pair,
     load_series,
+    matches_optimum,
     pearson,
     run_benchmark,
     write_csv,
 )
-from .core import AlignmentResult, TimeSeries
+from .core import AlignmentResult, CostOverflowError, TimeSeries
 from .divide import RecursionDepthError, dc_align
 from .full import MatrixBudgetError, dtw_full
+from .sparse import _sparse_dtw, dump_lines, sparse_dtw
 
 __all__ = ["main"]
 
@@ -81,8 +83,6 @@ def _run_algo(algo: str, s: TimeSeries, q: TimeSeries, args) -> AlignmentResult:
     if algo == "dc":
         return dc_align(s, q, mid_mode=args.mid_mode)
     if algo == "sparse":
-        from .sparse import sparse_dtw
-
         return sparse_dtw(s, q, res=args.res)
     raise _UsageError(f"unknown algorithm {algo!r}")
 
@@ -90,22 +90,22 @@ def _run_algo(algo: str, s: TimeSeries, q: TimeSeries, args) -> AlignmentResult:
 def _cmd_align(args) -> int:
     s = _load_one(args.series_a)
     q = _load_one(args.series_b)
+    dump = args.algo == "sparse" and args.dump_sm
     try:
-        result = _run_algo(args.algo, s, q, args)
+        if dump:
+            result, sm = _sparse_dtw(s, q, args.res)
+        else:
+            result = _run_algo(args.algo, s, q, args)
     except (
         BandDisconnectedError,
+        CostOverflowError,
         MatrixBudgetError,
         RecursionDepthError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     payload = _result_payload(result, len(s), len(q))
-    if args.algo == "sparse" and args.dump_sm:
-        from .core import quantize
-        from .sparse import build_bins, dump_lines, forward_pass, populate
-
-        sm = populate(quantize(s), quantize(q), build_bins(args.res), s, q)
-        forward_pass(sm, s, q)
+    if dump:
         payload["sm_dump"] = dump_lines(sm, s, q)
     json.dump(payload, sys.stdout, indent=2)
     print()
@@ -154,9 +154,7 @@ def _cmd_compare(args) -> int:
         if "error" in row or full_result is None:
             row.setdefault("optimal", "unknown")
         else:
-            close = abs(row["raw_cost"] - full_result.raw_cost) <= 1e-9 * max(
-                1.0, abs(full_result.raw_cost)
-            )
+            close = matches_optimum(row["raw_cost"], full_result.raw_cost)
             row["optimal"] = "yes" if close else "no"
     if args.json:
         json.dump(rows, sys.stdout, indent=2)
@@ -224,8 +222,6 @@ def _cmd_bench(args) -> int:
         if algo == "full":
             algorithms["full"] = lambda s, q: dtw_full(s, q)
         elif algo == "sparse":
-            from .sparse import sparse_dtw
-
             algorithms["sparse"] = (
                 lambda s, q, _r=args.res: sparse_dtw(s, q, res=_r)
             )
@@ -244,31 +240,7 @@ def _cmd_bench(args) -> int:
     records, failures = run_benchmark(pairs, algorithms, repeats=args.repeats)
     for failure in failures:
         print(f"failed: {failure}", file=sys.stderr)
-    if args.out:
-        write_csv(records, args.out)
-    else:
-        import csv as _csv
-
-        from .bench import CSV_HEADER
-
-        w = _csv.writer(sys.stdout)
-        w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.dataset,
-                    r.algorithm,
-                    r.params,
-                    r.n,
-                    r.m,
-                    r.open_cells,
-                    r.path_K,
-                    f"{r.elapsed_ms:.3f}",
-                    f"{r.raw_cost:.9g}",
-                    f"{r.normalized_distance:.9g}",
-                    r.optimal,
-                ]
-            )
+    write_csv(records, args.out or sys.stdout)
     if records:
         return EXIT_OK
     return EXIT_ALGORITHM

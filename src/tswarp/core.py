@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,11 +20,27 @@ __all__ = [
     "WarpingPath",
     "PathVerdict",
     "AlignmentResult",
+    "BrokenPathError",
+    "CostOverflowError",
     "local_distance",
     "quantize",
     "validate_path",
     "normalized_distance",
+    "check_cost_range",
+    "sweep_column",
+    "dense_columns",
+    "backtrack_path",
 ]
+
+_INF = float("inf")
+
+
+class BrokenPathError(RuntimeError):
+    """Backtracking found a cell with no open lower neighbor."""
+
+
+class CostOverflowError(OverflowError):
+    """Accumulated path costs could exceed the float range."""
 
 
 @dataclass(frozen=True)
@@ -172,3 +188,93 @@ def normalized_distance(raw_cost: float, K: int) -> float:
     if K < 1:
         raise ValueError("path length K must be >= 1")
     return math.sqrt(raw_cost) / K
+
+
+def check_cost_range(s: TimeSeries, q: TimeSeries) -> None:
+    """Refuse inputs whose path costs could overflow to inf.
+
+    A warping path has at most n + m - 1 cells and each local cost is
+    at most span**2, span being the largest minus the smallest sample
+    over both series; while that product is finite no accumulated cost
+    can overflow, so an infinite cost always means "unreachable".
+    """
+    lo = min(float(s.values.min()), float(q.values.min()))
+    hi = max(float(s.values.max()), float(q.values.max()))
+    span = hi - lo
+    if not math.isfinite((len(s) + len(q) - 1) * span * span):
+        raise CostOverflowError(
+            f"path costs can overflow: (n + m - 1) * span**2 is not finite "
+            f"for n={len(s)}, m={len(q)}, sample span {span:g}"
+        )
+
+
+def sweep_column(
+    sv: Sequence[float],
+    qj: float,
+    prev: Sequence[float],
+    diag: float,
+    up: float,
+) -> list[float]:
+    """Accumulated costs of one column over a run of consecutive rows.
+
+    ``sv`` holds the run's samples, ``prev`` the previous column's costs
+    on the same rows, ``diag`` the previous column's cost one row above
+    the run and ``up`` this column's cost one row above it (inf where a
+    cell is closed or outside the matrix).  The virtual cell diagonal to
+    (1, 1) costs 0, so the first column needs no special case: pass
+    ``diag=0.0`` for the run starting at row 1 of column 1.
+    """
+    out = [0.0] * len(sv)
+    for i in range(len(sv)):
+        left = prev[i]
+        best = diag if diag < left else left
+        if up < best:
+            best = up
+        d = sv[i] - qj
+        up = out[i] = d * d + best
+        diag = left
+    return out
+
+
+def dense_columns(sv: Sequence[float], qv: Iterable[float]) -> Iterator[list[float]]:
+    """Each full-height column of the cumulative matrix, left to right."""
+    col = [_INF] * len(sv)
+    diag = 0.0
+    for qj in qv:
+        col = sweep_column(sv, qj, col, diag, _INF)
+        diag = _INF
+        yield col
+
+
+def backtrack_path(
+    cost: Callable[[int, int], float | None], n: int, m: int
+) -> list[tuple[int, int]]:
+    """Cells of the path from (1, 1) to (n, m), walked back from (n, m)
+    over a 1-based cost accessor.
+
+    ``cost(i, j)`` returns the accumulated cost of an in-matrix cell, or
+    None when the cell is closed.  Each hop takes the lower neighbor
+    with the smallest cost; ties prefer the diagonal, then the vertical,
+    then the horizontal neighbor, which keeps output deterministic and
+    favours shorter paths.
+    """
+    i, j = n, m
+    path = [(i, j)]
+    while i > 1 or j > 1:
+        best = step = None
+        if i > 1 and j > 1:
+            best, step = cost(i - 1, j - 1), (i - 1, j - 1)
+        if i > 1:
+            v = cost(i - 1, j)
+            if v is not None and (best is None or v < best):
+                best, step = v, (i - 1, j)
+        if j > 1:
+            v = cost(i, j - 1)
+            if v is not None and (best is None or v < best):
+                best, step = v, (i, j - 1)
+        if best is None:
+            raise BrokenPathError(f"no open lower neighbor at cell ({i}, {j})")
+        i, j = step
+        path.append(step)
+    path.reverse()
+    return path

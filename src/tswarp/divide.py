@@ -21,6 +21,9 @@ from .core import (
     AlignmentResult,
     TimeSeries,
     WarpingPath,
+    backtrack_path,
+    check_cost_range,
+    dense_columns,
     local_distance,
     normalized_distance,
 )
@@ -78,35 +81,14 @@ def _forward_last_column(
 ) -> list[float]:
     """Last column of the cumulative DTW matrix, two-column rolling storage."""
     n = len(s)
-    m = len(q)
     if stats is not None:
         stats.alloc(2 * n)
-        stats.computed_cells += n * m
-    q0 = q[0]
-    cur = [0.0] * n
-    acc = 0.0
-    for i in range(n):
-        d = s[i] - q0
-        acc += d * d
-        cur[i] = acc
-    for j in range(1, m):
-        qj = q[j]
-        prev = cur
-        cur = [0.0] * n
-        d = s[0] - qj
-        up = cur[0] = d * d + prev[0]
-        diag = prev[0]
-        for i in range(1, n):
-            left = prev[i]
-            best = diag if diag < left else left
-            if up < best:
-                best = up
-            d = s[i] - qj
-            up = cur[i] = d * d + best
-            diag = left
+        stats.computed_cells += n * len(q)
+    for col in dense_columns(s, q):
+        pass
     if stats is not None:
         stats.free(2 * n)
-    return cur
+    return col
 
 
 def forward_space_efficient(s: TimeSeries, q: TimeSeries) -> list[float]:
@@ -128,46 +110,16 @@ def _dense_subpath(
 ) -> list[tuple[int, int]]:
     """Optimal path of a base-case subproblem via a small dense matrix.
 
-    Returns 0-based (i, j) pairs local to the subproblem.
+    Returns 1-based (i, j) cells local to the subproblem.
     """
     n = len(s)
     m = len(q)
     stats.alloc(n * m)
     stats.computed_cells += n * m
-    D = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            d = s[i] - q[j]
-            d = d * d
-            if i == 0 and j == 0:
-                D[i][j] = d
-            elif i == 0:
-                D[i][j] = d + D[i][j - 1]
-            elif j == 0:
-                D[i][j] = d + D[i - 1][j]
-            else:
-                D[i][j] = d + min(D[i - 1][j - 1], D[i - 1][j], D[i][j - 1])
-    i, j = n - 1, m - 1
-    rev = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag = D[i - 1][j - 1]
-            vert = D[i - 1][j]
-            horz = D[i][j - 1]
-            if diag <= vert and diag <= horz:
-                i -= 1
-                j -= 1
-            elif vert <= horz:
-                i -= 1
-            else:
-                j -= 1
-        rev.append((i, j))
+    cols = list(dense_columns(s, q))
+    path = backtrack_path(lambda i, j: cols[j - 1][i - 1], n, m)
     stats.free(n * m)
-    return rev[::-1]
+    return path
 
 
 @dataclass
@@ -193,7 +145,7 @@ class _Run:
             sub = _dense_subpath(
                 self.s[s_lo : s_hi + 1], self.q[q_lo : q_hi + 1], self.stats
             )
-            return [(s_lo + i, q_lo + j) for i, j in sub]
+            return [(s_lo + i - 1, q_lo + j - 1) for i, j in sub]
         if self.mid_mode == "ceil":
             mid_off = (m_sub + 1) // 2
         else:
@@ -238,6 +190,7 @@ def dc_align(
     """
     if mid_mode not in ("ceil", "floor"):
         raise ValueError("mid_mode must be 'ceil' or 'floor'")
+    check_cost_range(s, q)
     start = time.perf_counter()
     run = _Run(s.values.tolist(), q.values.tolist(), mid_mode, max_depth)
     cells = run.solve(0, len(s) - 1, 0, len(q) - 1, 0)

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlignmentResult, TimeSeries, WarpingPath, normalized_distance
+from .core import (
+    AlignmentResult,
+    TimeSeries,
+    WarpingPath,
+    backtrack_path,
+    check_cost_range,
+    dense_columns,
+    normalized_distance,
+)
 
 __all__ = [
     "CostMatrix",
@@ -55,68 +63,20 @@ def cost_matrix(s: TimeSeries, q: TimeSeries) -> CostMatrix:
     D(n, m) is the minimum path cost over all valid warping paths.
     """
     sv = s.values.tolist()
-    qv = q.values.tolist()
-    n = len(sv)
-    m = len(qv)
-    D = np.empty((n, m))
-    # First column.
-    q0 = qv[0]
-    cur = [0.0] * n
-    acc = 0.0
-    for i in range(n):
-        d = sv[i] - q0
-        acc += d * d
-        cur[i] = acc
-    D[:, 0] = cur
-    prev = cur
-    for j in range(1, m):
-        qj = qv[j]
-        cur = [0.0] * n
-        d = sv[0] - qj
-        up = cur[0] = d * d + prev[0]
-        diag = prev[0]
-        for i in range(1, n):
-            left = prev[i]
-            best = diag if diag < left else left
-            if up < best:
-                best = up
-            d = sv[i] - qj
-            up = cur[i] = d * d + best
-            diag = left
-        D[:, j] = cur
-        prev = cur
+    D = np.empty((len(sv), len(q)))
+    for j, col in enumerate(dense_columns(sv, q.values.tolist())):
+        D[:, j] = col
     return CostMatrix(D)
 
 
 def backtrack(D: CostMatrix) -> WarpingPath:
     """Walk the filled matrix from (n, m) back to (1, 1).
 
-    On ties the diagonal predecessor wins, then the vertical one, then
-    the horizontal one; this keeps output deterministic and favours
-    shorter paths.
+    Ties prefer the diagonal, then the vertical, then the horizontal
+    predecessor (see ``core.backtrack_path``).
     """
-    cells = D.cells
-    n, m = cells.shape
-    i, j = n - 1, m - 1
-    rev = [(i + 1, j + 1)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag = cells[i - 1, j - 1]
-            vert = cells[i - 1, j]
-            horz = cells[i, j - 1]
-            if diag <= vert and diag <= horz:
-                i -= 1
-                j -= 1
-            elif vert <= horz:
-                i -= 1
-            else:
-                j -= 1
-        rev.append((i + 1, j + 1))
-    return WarpingPath(reversed(rev))
+    item = D.cells.item
+    return WarpingPath(backtrack_path(lambda i, j: item(i - 1, j - 1), D.n, D.m))
 
 
 def dtw_full(
@@ -132,6 +92,7 @@ def dtw_full(
             f"dense matrix needs {n * m} cells, budget is {max_cells}; "
             "raise max_cells to force the computation"
         )
+    check_cost_range(s, q)
     start = time.perf_counter()
     D = cost_matrix(s, q)
     path = backtrack(D)

@@ -8,9 +8,9 @@ that would otherwise dead-end, and a sparse backtrack recovers the
 warping path.
 
 The accumulated cost at (n, m) is the cost of the best path through
-OPEN cells.  On well-correlated, smooth series that equals the true
-optimum; it is not guaranteed to in general (see the regression
-fixtures in the test suite for a minimal counterexample).
+OPEN cells.  It equals the true optimum at res = 1 only; below that it
+often does not (see the regression fixtures in the test suite for a
+minimal counterexample).
 
 Cells are tracked per column internally; the public contract speaks in
 1-based column-major linear indices: index(i, j) = (j - 1) * n + i.
@@ -27,12 +27,16 @@ import numpy as np
 
 from .core import (
     AlignmentResult,
+    BrokenPathError,
     QuantizedSeries,
     TimeSeries,
     WarpingPath,
+    backtrack_path,
+    check_cost_range,
     local_distance,
     normalized_distance,
     quantize,
+    sweep_column,
 )
 
 __all__ = [
@@ -62,10 +66,6 @@ class SparseConnectivityError(RuntimeError):
     connected forward.  Raised (not worked around) so that a violation
     surfaces as a diagnostic instead of a silent wrong answer.
     """
-
-
-class BrokenPathError(RuntimeError):
-    """Backtracking found a cell with no open lower neighbor."""
 
 
 @dataclass(frozen=True)
@@ -398,9 +398,11 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     qv = q.values.tolist()
     col_open_rows: list[list[int]] = []
     col_vals: list[np.ndarray] = []
-    prev_vals: np.ndarray = np.empty(0)
-    prev_runs: list[tuple[int, int]] = []
-    prev_offs: list[int] = []
+    # Column -1 holds only the virtual origin at row -1, cost 0, so
+    # that (1, 1) starts every path without a special case.
+    prev_vals: np.ndarray = np.zeros(1)
+    prev_runs: list[tuple[int, int]] = [(-1, -1)]
+    prev_offs: list[int] = [0, 1]
     vector_span = 48
     for j in range(m):
         qj = qv[j]
@@ -440,13 +442,10 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
                         break
                     pos = rb + 1
                     pq += 1
-            span = b_row - a_row + 1
-            if span >= vector_span:
+            if b_row - a_row + 1 >= vector_span:
                 lc = sv_np[a_row : b_row + 1] - qj
                 lc *= lc
                 base = lc + np.minimum(pv[:-1], pv[1:])
-                if j == 0 and a_row == 0:
-                    base[0] = lc[0]
                 C = np.cumsum(lc)
                 out = base - C
                 np.minimum.accumulate(out, out=out)
@@ -454,27 +453,7 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
                 parts.append(out)
             else:
                 pvl = pv.tolist()
-                vals: list[float] = []
-                v_app = vals.append
-                pv_it = iter(pvl)
-                diag = next(pv_it)
-                sv_run = sv[a_row : b_row + 1]
-                if j == 0 and a_row == 0:
-                    d = sv_run[0] - qj
-                    up = d * d
-                    v_app(up)
-                    sv_run = sv_run[1:]
-                    diag = next(pv_it, _INF)
-                else:
-                    up = _INF
-                for x, left in zip(sv_run, pv_it):
-                    best = diag if diag < left else left
-                    if up < best:
-                        best = up
-                    d = x - qj
-                    up = d * d + best
-                    v_app(up)
-                    diag = left
+                vals = sweep_column(sv[a_row : b_row + 1], qj, pvl[1:], pvl[0], _INF)
                 parts.append(np.asarray(vals, dtype=np.float64))
         col_open_rows.append(rows_out)
         cur = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -507,41 +486,14 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     """
     if sm.col_vals is None:
         raise RuntimeError("forward pass has not run yet")
-    rows_by_col = sm.col_open_rows
-    vals_by_col = sm.col_vals
-
-    def acc(ci: int, cj: int) -> float | None:
-        rows = rows_by_col[cj]
-        k = bisect_left(rows, ci)
-        if k < len(rows) and rows[k] == ci:
-            return vals_by_col[cj][k]
-        return None
-
-    i = sm.n - 1
-    j = sm.m - 1
-    rev = [(i, j)]
-    while i > 0 or j > 0:
-        best = None
-        bi = bj = -1
-        for ci, cj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-            if ci >= 0 and cj >= 0:
-                v = acc(ci, cj)
-                if v is not None and (best is None or v < best):
-                    best = v
-                    bi, bj = ci, cj
-        if best is None:
-            raise BrokenPathError(
-                f"no open lower neighbor at cell ({i + 1}, {j + 1})"
-            )
-        i, j = bi, bj
-        rev.append((i, j))
-    return WarpingPath((a + 1, b + 1) for a, b in reversed(rev))
+    return WarpingPath(backtrack_path(sm.accumulated, sm.n, sm.m))
 
 
-def sparse_dtw(
-    s: TimeSeries, q: TimeSeries, res: float = DEFAULT_RES
-) -> AlignmentResult:
-    """Quantize, bucket, open, accumulate, backtrack."""
+def _sparse_dtw(
+    s: TimeSeries, q: TimeSeries, res: float
+) -> tuple[AlignmentResult, SparseMatrix]:
+    """``sparse_dtw`` plus the filled matrix it aligned over."""
+    check_cost_range(s, q)
     start = time.perf_counter()
     bins = build_bins(res)
     sm = populate(quantize(s), quantize(q), bins, s, q)
@@ -549,7 +501,7 @@ def sparse_dtw(
     path = sparse_backtrack(sm)
     elapsed = time.perf_counter() - start
     raw = float(sm.col_vals[sm.m - 1][-1])
-    return AlignmentResult(
+    result = AlignmentResult(
         path=path,
         raw_cost=raw,
         normalized_distance=normalized_distance(raw, path.K),
@@ -557,6 +509,14 @@ def sparse_dtw(
         elapsed=elapsed,
         algorithm_params={"algorithm": "sparse", "res": res},
     )
+    return result, sm
+
+
+def sparse_dtw(
+    s: TimeSeries, q: TimeSeries, res: float = DEFAULT_RES
+) -> AlignmentResult:
+    """Quantize, bucket, open, accumulate, backtrack."""
+    return _sparse_dtw(s, q, res)[0]
 
 
 def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:

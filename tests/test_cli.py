@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -122,6 +124,23 @@ class TestBench:
                      "--repeats", "1", "--algos", "full"])
         assert code == 0
         assert capsys.readouterr().out.startswith("dataset,algorithm,")
+
+    def test_stdout_csv_equals_file_csv(self, tmp_path, capsys):
+        grid = ["bench", "--lengths", "16", "--rhos", "0.5,0.9",
+                "--repeats", "1", "--algos", "full,sparse,dc"]
+        out = tmp_path / "r.csv"
+        assert main(grid + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(grid) == 0
+        stdout_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        with open(out, newline="") as fh:
+            file_rows = list(csv.reader(fh))
+        # Timings differ between the two sweeps; every other field must not.
+        t = file_rows[0].index("elapsed_ms")
+        for row in stdout_rows + file_rows:
+            del row[t]
+        assert len(file_rows) == 1 + 2 * 3
+        assert stdout_rows == file_rows
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["bench", "--lengths", "", "--rhos", "0.5"]) == 1
