@@ -12,16 +12,22 @@ OPEN cells.  It equals the true optimum at res = 1 only; below that it
 often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
-Cells are tracked per column internally; the public contract speaks in
-1-based column-major linear indices: index(i, j) = (j - 1) * n + i.
+Open cells are stored run-compressed: per column, the (first row, last
+row) bounds of each maximal run of consecutive open rows, and one flat
+float64 buffer of accumulated costs in column-major order (see
+``SparseMatrix``), so storage grows with the open cells and the runs,
+not with n * m.  The public contract speaks in 1-based column-major
+linear indices: index(i, j) = (j - 1) * n + i.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise, repeat
 
 import numpy as np
 
@@ -57,6 +63,9 @@ __all__ = [
 _INF = float("inf")
 
 DEFAULT_RES = 0.5
+
+# Runs at least this many rows long take the vectorized cost sweep.
+_VECTOR_SPAN = 48
 
 
 class SparseConnectivityError(RuntimeError):
@@ -132,54 +141,107 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
 
 @dataclass
 class SparseMatrix:
-    """Open cells of the warping matrix, stored per column.
+    """Open cells of the warping matrix, stored as runs per column.
 
-    ``col_rows`` holds the bin-opened rows (0-based, sorted) per
-    column.  After the forward pass ``col_open_rows`` holds the final
-    open rows (bin-opened plus unblocked, sorted) and ``col_vals`` the
-    parallel accumulated costs.
+    A run is a maximal stretch of consecutive open rows of one column,
+    a (first row, last row) pair, 0-based and inclusive.
+
+    Stored:
+
+    - ``col_bin_runs``: each column's bin-opened runs, corners forced
+      in, from ``populate``.  Columns whose samples fall in the same
+      bins share one list, so the lists are never edited in place.
+    - After ``forward_pass``, the final open cells in compressed sparse
+      column form.  Column j holds runs ``col_ptr[j]`` up to
+      ``col_ptr[j + 1]``; run k covers rows ``run_lo[k]`` to
+      ``run_hi[k]`` and their accumulated costs are
+      ``vals[run_off[k]:run_off[k + 1]]``.  The run tables are
+      ``array.array``s (int32 rows, int64 offsets), ``col_ptr`` is a
+      list, and ``vals`` is one flat float64 buffer, column-major with
+      rows ascending: 8 bytes per open cell plus 16 per run.
+
+    ``col_rows`` (bin-opened rows), ``col_open_rows`` (final open rows)
+    and ``col_vals`` (per-column views of ``vals``) are read-only views,
+    derived on each access for callers that want per-column lists; the
+    last two are None before the forward pass.
     """
 
     n: int
     m: int
-    col_rows: list[list[int]]
-    col_bin_runs: list[list[tuple[int, int]]] | None = None
-    col_open_rows: list[list[int]] | None = None
-    col_vals: list[np.ndarray] | None = None
+    col_bin_runs: list[list[tuple[int, int]]]
+    col_ptr: list[int] | None = None
+    run_lo: array | None = None
+    run_hi: array | None = None
+    run_off: array | None = None
+    vals: np.ndarray | None = None
     unblocked: int = 0
+
+    def _column_runs(self) -> list[list[tuple[int, int]]]:
+        """Each column's open runs: the final ones once the forward pass
+        has run, the bin-opened ones before."""
+        if self.vals is None:
+            return self.col_bin_runs
+        lo, hi = self.run_lo, self.run_hi
+        return [list(zip(lo[p:e], hi[p:e])) for p, e in pairwise(self.col_ptr)]
+
+    @property
+    def col_rows(self) -> list[list[int]]:
+        """Bin-opened rows (0-based, ascending) per column."""
+        return [_expand(runs) for runs in self.col_bin_runs]
+
+    @property
+    def col_open_rows(self) -> list[list[int]] | None:
+        """Final open rows per column; None before the forward pass."""
+        if self.vals is None:
+            return None
+        return [_expand(runs) for runs in self._column_runs()]
+
+    @property
+    def col_vals(self) -> list[np.ndarray] | None:
+        """Accumulated costs per column, as views of ``vals``; None
+        before the forward pass."""
+        if self.vals is None:
+            return None
+        off = self.run_off
+        return [self.vals[off[p] : off[e]] for p, e in pairwise(self.col_ptr)]
 
     @property
     def open_count(self) -> int:
-        if self.col_open_rows is not None:
-            return sum(len(r) for r in self.col_open_rows)
-        return sum(len(r) for r in self.col_rows)
+        if self.vals is not None:
+            return self.run_off[-1]
+        return sum(b - a + 1 for runs in self.col_bin_runs for a, b in runs)
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        cols = self.col_open_rows if self.col_open_rows is not None else self.col_rows
-        rows = cols[j - 1]
-        k = bisect_left(rows, i - 1)
-        return k < len(rows) and rows[k] == i - 1
+        if self.vals is None:
+            return any(a <= i - 1 <= b for a, b in self.col_bin_runs[j - 1])
+        return self.accumulated(i, j) is not None
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
         out = []
         n = self.n
-        cols = self.col_open_rows if self.col_open_rows is not None else self.col_rows
-        for j, rows in enumerate(cols):
-            base = j * n
-            out.extend(base + r + 1 for r in rows)
+        for j, runs in enumerate(self._column_runs()):
+            base = j * n + 1
+            for a, b in runs:
+                out.extend(range(base + a, base + b + 1))
         return out
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
-        if self.col_vals is None:
+        if self.vals is None:
             raise RuntimeError("forward pass has not run yet")
-        rows = self.col_open_rows[j - 1]
-        k = bisect_left(rows, i - 1)
-        if k < len(rows) and rows[k] == i - 1:
-            return float(self.col_vals[j - 1][k])
-        return None
+        r = i - 1
+        first = self.col_ptr[j - 1]
+        k = bisect_right(self.run_lo, r, first, self.col_ptr[j]) - 1
+        if k < first or r > self.run_hi[k]:
+            return None
+        return float(self.vals[self.run_off[k] + r - self.run_lo[k]])
+
+
+def _expand(runs: list[tuple[int, int]]) -> list[int]:
+    """The rows a run list covers."""
+    return [r for a, b in runs for r in range(a, b + 1)]
 
 
 def populate(
@@ -223,16 +285,14 @@ def populate(
             return None
         return k_lo, k_hi
 
-    union_cache: dict[tuple[int, int] | None, tuple[list[int], list[tuple[int, int]]]] = {}
-    col_rows: list[list[int]] = []
+    union_cache: dict[tuple[int, int] | None, list[tuple[int, int]]] = {}
     col_bin_runs: list[list[tuple[int, int]]] = []
     for j in range(m):
         key = bin_range(float(qv[j]))
-        cached = union_cache.get(key)
-        if cached is None:
-            if key is None:
-                cached = ([], [])
-            else:
+        runs = union_cache.get(key)
+        if runs is None:
+            runs = []
+            if key is not None:
                 lo_val = bounds[key[0]][0]
                 hi_val = bounds[key[1]][1]
                 idx = np.nonzero((sv >= lo_val) & (sv <= hi_val))[0]
@@ -240,26 +300,24 @@ def populate(
                     brk = np.flatnonzero(idx[1:] != idx[:-1] + 1)
                     starts = idx[np.concatenate(([0], brk + 1))].tolist()
                     ends = idx[np.concatenate((brk, [idx.size - 1]))].tolist()
-                    cached = (idx.tolist(), list(zip(starts, ends)))
-                else:
-                    cached = ([], [])
-            union_cache[key] = cached
-        col_rows.append(list(cached[0]))
-        col_bin_runs.append(list(cached[1]))
-    if not col_rows[0] or col_rows[0][0] != 0:
-        col_rows[0].insert(0, 0)
-        if col_bin_runs[0] and col_bin_runs[0][0][0] == 1:
-            col_bin_runs[0][0] = (0, col_bin_runs[0][0][1])
+                    runs = list(zip(starts, ends))
+            union_cache[key] = runs
+        col_bin_runs.append(runs)
+    # Columns share their run lists through the cache, so forcing a
+    # corner replaces the list of column 1 or m instead of editing it.
+    runs = col_bin_runs[0]
+    if not runs or runs[0][0] != 0:
+        if runs and runs[0][0] == 1:
+            col_bin_runs[0] = [(0, runs[0][1])] + runs[1:]
         else:
-            col_bin_runs[0].insert(0, (0, 0))
-    if not col_rows[m - 1] or col_rows[m - 1][-1] != n - 1:
-        col_rows[m - 1].append(n - 1)
-        last_runs = col_bin_runs[m - 1]
-        if last_runs and last_runs[-1][1] == n - 2:
-            last_runs[-1] = (last_runs[-1][0], n - 1)
+            col_bin_runs[0] = [(0, 0)] + runs
+    runs = col_bin_runs[m - 1]
+    if not runs or runs[-1][1] != n - 1:
+        if runs and runs[-1][1] == n - 2:
+            col_bin_runs[m - 1] = runs[:-1] + [(runs[-1][0], n - 1)]
         else:
-            last_runs.append((n - 1, n - 1))
-    return SparseMatrix(n, m, col_rows, col_bin_runs=col_bin_runs)
+            col_bin_runs[m - 1] = runs + [(n - 1, n - 1)]
+    return SparseMatrix(n, m, col_bin_runs)
 
 
 def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix:
@@ -387,92 +445,96 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
             runs.append((a_row, b_row))
         col_runs.append(runs)
     # --- Pass 2: cost sweep over the settled runs. ---
-    # Long runs use a vectorized form of the recurrence: with local
-    # costs lc, their prefix sums C and base[i] = lc[i] + best
-    # previous-column neighbor, a chain entering the run at row k and
-    # moving vertically to row i costs base[k] + C[i] - C[k], so the
-    # column is C + cummin(base - C).  Short runs stay scalar, where
-    # the per-call overhead of the vectorized form is not paid off.
+    # The settled runs become the matrix's run tables, and the sweep
+    # writes every cost straight into its flat buffer.
+    col_ptr = list(accumulate(map(len, col_runs), initial=0))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(col_runs)), np.intc)
+    del col_runs  # free the run tuples before the cost buffer is allocated
+    lo_np = flat[0::2]
+    hi_np = flat[1::2]
+    off_np = np.zeros(lo_np.size + 1, np.int64)
+    np.cumsum(hi_np - lo_np + 1, dtype=np.int64, out=off_np[1:])
+    run_lo = array("i", lo_np.tobytes())
+    run_hi = array("i", hi_np.tobytes())
+    run_off = array("q", off_np.tobytes())
+    vals = np.empty(run_off[-1])
     sv_np = np.asarray(s.values, dtype=np.float64)
     sv = sv_np.tolist()
     qv = q.values.tolist()
-    col_open_rows: list[list[int]] = []
-    col_vals: list[np.ndarray] = []
-    # Column -1 holds only the virtual origin at row -1, cost 0, so
-    # that (1, 1) starts every path without a special case.
-    prev_vals: np.ndarray = np.zeros(1)
-    prev_runs: list[tuple[int, int]] = [(-1, -1)]
-    prev_offs: list[int] = [0, 1]
-    vector_span = 48
+    # The previous column is kept as a dense list: slot r + 1 holds row
+    # r, inf where it is closed, and slot 0 the virtual cell diagonal to
+    # (1, 1), cost 0 before column 0 and inf after, so that (1, 1)
+    # starts every path without a special case.  Short runs go through
+    # the scalar kernel on slices of it.  Long runs use a vectorized
+    # form of the recurrence: with local costs lc, their prefix sums C
+    # and base[i] = lc[i] + best previous-column neighbor, a chain
+    # entering the run at row k and moving vertically to row i costs
+    # base[k] + C[i] - C[k], so the column is C + cummin(base - C).
+    # Below _VECTOR_SPAN rows its per-call overhead is not paid off.
+    prev = [0.0] + [_INF] * n
+    prev_first = off = 0
     for j in range(m):
         qj = qv[j]
-        rows_out: list[int] = []
-        parts: list[np.ndarray] = []
-        pr = 0
-        PR = len(prev_runs)
-        for a_row, b_row in col_runs[j]:
-            rows_out.extend(range(a_row, b_row + 1))
-            # Previous-column values for rows a_row-1 .. b_row, stitched
-            # from the previous column's runs (array slices, inf fill
-            # for closed stretches).  Run starts only move down the
-            # column, so the run pointer never rewinds.
-            lo = a_row - 1
-            cnt = b_row - lo + 1
-            while pr < PR and prev_runs[pr][1] < lo:
-                pr += 1
-            if pr < PR and prev_runs[pr][0] <= lo and b_row <= prev_runs[pr][1]:
-                off = prev_offs[pr] + (lo - prev_runs[pr][0])
-                pv = prev_vals[off : off + cnt]
+        cur = [_INF] * (n + 1)
+        short: list[float] = []  # scalar costs not yet written to vals
+        short_off = off
+        first, end = col_ptr[j], col_ptr[j + 1]
+        for a_row, b_row in zip(run_lo[first:end], run_hi[first:end]):
+            cnt = b_row - a_row + 1
+            if cnt < _VECTOR_SPAN:
+                col = sweep_column(
+                    sv[a_row : b_row + 1],
+                    qj,
+                    prev[a_row + 1 : b_row + 2],
+                    prev[a_row],
+                    _INF,
+                )
+                cur[a_row + 1 : b_row + 2] = col
+                short += col
+                off += cnt
+                continue
+            if short:
+                vals[short_off:off] = short
+                short = []
+            # Previous-column costs on the run's rows: a view of vals
+            # when one previous run covers them, else stitched from the
+            # dense list.  best is the cheaper of each row's left and
+            # diagonal neighbor.
+            k = bisect_right(run_lo, a_row, prev_first, first) - 1
+            if k >= prev_first and b_row <= run_hi[k]:
+                p0 = run_off[k] + a_row - run_lo[k]
+                left = vals[p0 : p0 + cnt]
             else:
-                pv = np.full(cnt, _INF)
-                pq = pr
-                pos = lo
-                while pos <= b_row and pq < PR:
-                    ra, rb = prev_runs[pq]
-                    if ra > b_row:
-                        break
-                    seg_lo = ra if ra > pos else pos
-                    seg_hi = rb if rb < b_row else b_row
-                    if seg_lo <= seg_hi:
-                        off = prev_offs[pq] + (seg_lo - ra)
-                        pv[seg_lo - lo : seg_hi - lo + 1] = prev_vals[
-                            off : off + (seg_hi - seg_lo + 1)
-                        ]
-                    if rb >= b_row:
-                        break
-                    pos = rb + 1
-                    pq += 1
-            if b_row - a_row + 1 >= vector_span:
-                lc = sv_np[a_row : b_row + 1] - qj
-                lc *= lc
-                base = lc + np.minimum(pv[:-1], pv[1:])
-                C = np.cumsum(lc)
-                out = base - C
-                np.minimum.accumulate(out, out=out)
-                out += C
-                parts.append(out)
-            else:
-                pvl = pv.tolist()
-                vals = sweep_column(sv[a_row : b_row + 1], qj, pvl[1:], pvl[0], _INF)
-                parts.append(np.asarray(vals, dtype=np.float64))
-        col_open_rows.append(rows_out)
-        cur = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        col_vals.append(cur)
-        prev_vals = cur
-        prev_runs = col_runs[j]
-        prev_offs = [0]
-        acc_len = 0
-        for ra, rb in prev_runs:
-            acc_len += rb - ra + 1
-            prev_offs.append(acc_len)
-    final = col_vals[last_col][-1]
-    if final == _INF:
+                left = np.array(prev[a_row + 1 : b_row + 2])
+            best = left.copy()
+            np.minimum(left[:-1], left[1:], out=best[1:])
+            if prev[a_row] < best[0]:
+                best[0] = prev[a_row]
+            lc = sv_np[a_row : b_row + 1] - qj
+            lc *= lc
+            base = lc + best
+            C = np.cumsum(lc)
+            out = vals[off : off + cnt]
+            np.subtract(base, C, out=out)
+            np.minimum.accumulate(out, out=out)
+            out += C
+            cur[a_row + 1 : b_row + 2] = out.tolist()
+            off += cnt
+            short_off = off
+        if short:
+            vals[short_off:off] = short
+        prev = cur
+        prev_first = first
+    if vals[-1] == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    sm.col_open_rows = col_open_rows
-    sm.col_vals = col_vals
+    sm.col_ptr = col_ptr
+    sm.run_lo = run_lo
+    sm.run_hi = run_hi
+    sm.run_off = run_off
+    sm.vals = vals
     sm.unblocked = unblocked
     return sm
 
@@ -484,7 +546,7 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     cost wins; ties prefer the diagonal, then the vertical, then the
     horizontal neighbor, matching the dense backtracker.
     """
-    if sm.col_vals is None:
+    if sm.vals is None:
         raise RuntimeError("forward pass has not run yet")
     return WarpingPath(backtrack_path(sm.accumulated, sm.n, sm.m))
 
@@ -500,7 +562,7 @@ def _sparse_dtw(
     forward_pass(sm, s, q)
     path = sparse_backtrack(sm)
     elapsed = time.perf_counter() - start
-    raw = float(sm.col_vals[sm.m - 1][-1])
+    raw = float(sm.vals[-1])
     result = AlignmentResult(
         path=path,
         raw_cost=raw,
@@ -524,16 +586,20 @@ def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
 
     A zero local cost is written as -1, mirroring the convention of
     distinguishing genuinely-zero distances from blocked cells in a
-    dense dump.
+    dense dump.  The accumulated field is empty before the forward pass.
     """
     n = sm.n
+    sv = s.values.tolist()
+    qv = q.values.tolist()
+    acc = iter(sm.vals.tolist()) if sm.vals is not None else repeat(None)
     out = []
-    for c in sm.open_cells():
-        i = (c - 1) % n + 1
-        j = (c - 1) // n + 1
-        lc = local_distance(float(s.values[i - 1]), float(q.values[j - 1]))
-        lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
-        a = sm.accumulated(i, j) if sm.col_vals is not None else None
-        a_txt = "" if a is None else ("inf" if a == _INF else f"{a:g}")
-        out.append(f"{c},{i},{j},{lc_txt},{a_txt},1")
+    for j, runs in enumerate(sm._column_runs()):
+        qj = qv[j]
+        for a, b in runs:
+            for r in range(a, b + 1):
+                lc = local_distance(sv[r], qj)
+                lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
+                v = next(acc)
+                a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
+                out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
     return out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import path_cost, random_pair
 from tswarp import (
@@ -174,11 +176,19 @@ class TestSparseDtw:
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
+    """Final cost and sorted open cells of ``_reference_engine``."""
+    acc, open_cells = _reference_engine(s, q, res)
+    return acc[len(s) * len(q)], open_cells
+
+
+def _reference_engine(s: TimeSeries, q: TimeSeries, res: float):
     """Literal single-sweep engine built on the neighbor functions.
 
     Independent of the production column-run representation: a dict
     keyed by linear index, scanned once in increasing order, opening
     cells exactly when a processed cell has no open upper neighbor.
+    Returns the accumulated cost of every open cell and the sorted open
+    cells.
     """
     sq = quantize(s).values
     qq = quantize(q).values
@@ -210,7 +220,7 @@ def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
         uppers = upper_neighbors(c, n, m)
         if uppers and not (uppers & open_set):
             open_set |= uppers
-    return acc[n * m], sorted(open_set)
+    return acc, sorted(open_set)
 
 
 class TestAgainstReferenceEngine:
@@ -250,3 +260,128 @@ class TestDump:
         lines = dump_lines(sm, S_FIXTURE, Q_FIXTURE)
         assert len(lines) == sm.open_count == 21
         assert [int(ln.split(",")[0]) for ln in lines] == sm.open_cells()
+
+
+def _filled(s: TimeSeries, q: TimeSeries, res: float):
+    sm = populate(quantize(s), quantize(q), build_bins(res), s, q)
+    return forward_pass(sm, s, q)
+
+
+def _run_lengths(rows: list[int]) -> list[int]:
+    """Lengths of the maximal runs of consecutive rows."""
+    out: list[int] = []
+    for k, r in enumerate(rows):
+        if k and rows[k - 1] == r - 1:
+            out[-1] += 1
+        else:
+            out.append(1)
+    return out
+
+
+samples = st.lists(
+    st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    min_size=2,
+    max_size=40,
+)
+
+
+class TestRunCompressedStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    def test_views_and_queries_describe_the_same_cells(self, a, b, res):
+        s = TimeSeries("s", a)
+        q = TimeSeries("q", b)
+        n, m = len(a), len(b)
+        sm = populate(quantize(s), quantize(q), build_bins(res), s, q)
+        bin_rows = sm.col_rows
+        forward_pass(sm, s, q)
+        assert sm.col_rows == bin_rows
+        rows, vals = sm.col_open_rows, sm.col_vals
+        assert len(rows) == len(vals) == m
+        cells = {}
+        for j, (col, col_vals) in enumerate(zip(rows, vals)):
+            assert col == sorted(set(col))
+            assert col_vals.dtype == np.float64 and len(col_vals) == len(col)
+            for r, v in zip(col, col_vals.tolist()):
+                cells[j * n + r + 1] = v
+        assert sm.open_cells() == sorted(cells)
+        assert sm.open_count == len(cells)
+        acc, ref_open = _reference_engine(s, q, res)
+        assert sm.open_cells() == ref_open
+        for j in range(1, m + 1):
+            for i in range(1, n + 1):
+                c = (j - 1) * n + i
+                assert sm.is_open(i, j) == (c in cells)
+                # Runs this short take the scalar kernel, whose
+                # arithmetic is the reference's: costs agree exactly.
+                assert sm.accumulated(i, j) == (acc[c] if c in cells else None)
+                if c in cells:
+                    assert cells[c] == acc[c]
+        lines = dump_lines(sm, s, q)
+        assert [int(ln.split(",")[0]) for ln in lines] == sorted(cells)
+        for ln in lines:
+            c, i, j, _, a_txt, flag = ln.split(",")
+            assert (int(i), int(j)) == ((int(c) - 1) % n + 1, (int(c) - 1) // n + 1)
+            v = cells[int(c)]
+            assert a_txt == ("inf" if v == INF else f"{v:g}") and flag == "1"
+
+    @pytest.mark.parametrize("span", [47, 48, 49])
+    def test_runs_either_side_of_the_vector_threshold(self, span):
+        # Rows 1..span share the low bin, the rest the high one, so the
+        # low columns open one run of exactly `span` rows.  Integer
+        # samples keep every sum exact, so the vectorized sweep must
+        # reproduce the scalar reference bit for bit.
+        s = TimeSeries("s", [i % 3 for i in range(span)] + [40] * (70 - span))
+        q = TimeSeries("q", [0, 1, 2, 40, 40, 1, 0, 2, 40])
+        sm = _filled(s, q, 0.25)
+        assert span in _run_lengths(sm.col_open_rows[1])
+        acc, ref_open = _reference_engine(s, q, 0.25)
+        assert sm.open_cells() == ref_open
+        n = len(s)
+        for c in ref_open:
+            assert sm.accumulated((c - 1) % n + 1, (c - 1) // n + 1) == acc[c]
+
+    def test_long_run_over_a_gap_in_the_previous_column(self):
+        # Row 31 is closed in column 2 but open in column 3, whose single
+        # 70-row run therefore reads its previous column across a gap.
+        s = TimeSeries("s", [0] * 30 + [8] + [0] * 39)
+        q = TimeSeries("q", [0, 0, 4, 4, 8])
+        sm = _filled(s, q, 0.5)
+        assert _run_lengths(sm.col_open_rows[1]) == [30, 39]
+        assert _run_lengths(sm.col_open_rows[2]) == [70]
+        acc, ref_open = _reference_engine(s, q, 0.5)
+        assert sm.open_cells() == ref_open
+        n = len(s)
+        for c in ref_open:
+            assert sm.accumulated((c - 1) % n + 1, (c - 1) // n + 1) == acc[c]
+        assert sparse_dtw(s, q, 0.5).raw_cost == acc[n * len(q)]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Columns 1, 3 and 5 share one bin range, which holds
+            # neither row 1 nor row 5; columns 2 and 4 bin-open both.
+            ([9, 0, 1, 0, 9], [0, 9, 0, 9, 0]),
+            # A constant query: every column shares one bin range.
+            ([9, 0, 1, 0, 9], [2, 2, 2, 2]),
+            # One column holds both forced corners.
+            ([9, 0, 1, 0, 9], [0]),
+        ],
+    )
+    def test_forced_corners_stay_in_their_own_columns(self, a, b):
+        s = TimeSeries("s", a)
+        q = TimeSeries("q", b)
+        n, m = len(a), len(b)
+        sq, qq = quantize(s).values, quantize(q).values
+        bins = build_bins(0.5)
+        sm = populate(quantize(s), quantize(q), bins, s, q)
+        for j, col in enumerate(sm.col_rows):
+            binned = {
+                i
+                for i in range(n)
+                if any(lo <= sq[i] <= hi and lo <= qq[j] <= hi for lo, hi in bins.bins)
+            }
+            forced = {0} if j == 0 else set()
+            if j == m - 1:
+                forced.add(n - 1)
+            assert col == sorted(binned | forced)
