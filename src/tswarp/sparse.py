@@ -12,22 +12,21 @@ OPEN cells.  It equals the true optimum at res = 1 only; below that it
 often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
-Open cells are stored run-compressed: per column, the (first row, last
-row) bounds of each maximal run of consecutive open rows, and one flat
-float64 buffer of accumulated costs in column-major order (see
-``SparseMatrix``), so storage grows with the open cells and the runs,
-not with n * m.  The public contract speaks in 1-based column-major
-linear indices: index(i, j) = (j - 1) * n + i.
+Open cells are stored as one bitmask of open rows per column (a Python
+int) and one flat float64 buffer of accumulated costs in column-major
+order (see ``SparseMatrix``): 8 bytes per open cell plus about a bit per
+matrix cell, where a dense matrix takes 8 bytes per cell.  The
+unblocking pass works on whole columns of bits at a time.  The public
+contract speaks in 1-based column-major linear indices:
+index(i, j) = (j - 1) * n + i.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 
 import numpy as np
 
@@ -141,60 +140,55 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
 
 @dataclass
 class SparseMatrix:
-    """Open cells of the warping matrix, stored as runs per column.
+    """Open cells of the warping matrix, one bitmask per column.
 
-    A run is a maximal stretch of consecutive open rows of one column,
-    a (first row, last row) pair, 0-based and inclusive.
+    A column's mask is a Python int whose bit r is set when row r
+    (0-based) of that column is open.
 
     Stored:
 
-    - ``col_bin_runs``: each column's bin-opened runs, corners forced
-      in, from ``populate``.  Columns whose samples fall in the same
-      bins share one list, so the lists are never edited in place.
-    - After ``forward_pass``, the final open cells in compressed sparse
-      column form.  Column j holds runs ``col_ptr[j]`` up to
-      ``col_ptr[j + 1]``; run k covers rows ``run_lo[k]`` to
-      ``run_hi[k]`` and their accumulated costs are
-      ``vals[run_off[k]:run_off[k + 1]]``.  The run tables are
-      ``array.array``s (int32 rows, int64 offsets), ``col_ptr`` is a
-      list, and ``vals`` is one flat float64 buffer, column-major with
-      rows ascending: 8 bytes per open cell plus 16 per run.
+    - ``col_bin``: each column's bin-opened rows, corners forced in,
+      from ``populate``.
+    - After ``forward_pass``: ``col_open``, each column's final open
+      rows; ``col_off``, m + 1 offsets into ``vals``; and ``vals``, one
+      flat float64 buffer of every open cell's accumulated cost,
+      column-major with rows ascending.  Column j's costs are
+      ``vals[col_off[j]:col_off[j + 1]]``, and open row r's cost sits
+      at ``col_off[j]`` plus the number of open rows before r, a
+      popcount of the mask's low r bits.  That is 8 bytes per open cell
+      plus, per column, n / 8 bytes of mask and about 70 bytes of
+      Python int and list overhead.
 
     ``col_rows`` (bin-opened rows), ``col_open_rows`` (final open rows)
     and ``col_vals`` (per-column views of ``vals``) are read-only views,
-    derived on each access for callers that want per-column lists; the
-    last two are None before the forward pass.
+    derived from the masks on each access for callers that want
+    per-column lists; the last two are None before the forward pass.
     """
 
     n: int
     m: int
-    col_bin_runs: list[list[tuple[int, int]]]
-    col_ptr: list[int] | None = None
-    run_lo: array | None = None
-    run_hi: array | None = None
-    run_off: array | None = None
+    col_bin: list[int]
+    col_open: list[int] | None = None
+    col_off: list[int] | None = None
     vals: np.ndarray | None = None
     unblocked: int = 0
 
-    def _column_runs(self) -> list[list[tuple[int, int]]]:
-        """Each column's open runs: the final ones once the forward pass
+    def _masks(self) -> list[int]:
+        """Each column's open rows: the final ones once the forward pass
         has run, the bin-opened ones before."""
-        if self.vals is None:
-            return self.col_bin_runs
-        lo, hi = self.run_lo, self.run_hi
-        return [list(zip(lo[p:e], hi[p:e])) for p, e in pairwise(self.col_ptr)]
+        return self.col_bin if self.vals is None else self.col_open
 
     @property
     def col_rows(self) -> list[list[int]]:
         """Bin-opened rows (0-based, ascending) per column."""
-        return [_expand(runs) for runs in self.col_bin_runs]
+        return _rows(self.col_bin, self.n)
 
     @property
     def col_open_rows(self) -> list[list[int]] | None:
         """Final open rows per column; None before the forward pass."""
         if self.vals is None:
             return None
-        return [_expand(runs) for runs in self._column_runs()]
+        return _rows(self.col_open, self.n)
 
     @property
     def col_vals(self) -> list[np.ndarray] | None:
@@ -202,46 +196,46 @@ class SparseMatrix:
         before the forward pass."""
         if self.vals is None:
             return None
-        off = self.run_off
-        return [self.vals[off[p] : off[e]] for p, e in pairwise(self.col_ptr)]
+        return [self.vals[a:b] for a, b in pairwise(self.col_off)]
 
     @property
     def open_count(self) -> int:
         if self.vals is not None:
-            return self.run_off[-1]
-        return sum(b - a + 1 for runs in self.col_bin_runs for a, b in runs)
+            return self.col_off[-1]
+        return sum(map(int.bit_count, self.col_bin))
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        if self.vals is None:
-            return any(a <= i - 1 <= b for a, b in self.col_bin_runs[j - 1])
-        return self.accumulated(i, j) is not None
+        return bool(self._masks()[j - 1] >> (i - 1) & 1)
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
-        out = []
         n = self.n
-        for j, runs in enumerate(self._column_runs()):
-            base = j * n + 1
-            for a, b in runs:
-                out.extend(range(base + a, base + b + 1))
-        return out
+        return [j * n + r + 1 for j, rows in enumerate(_rows(self._masks(), n)) for r in rows]
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
         if self.vals is None:
             raise RuntimeError("forward pass has not run yet")
         r = i - 1
-        first = self.col_ptr[j - 1]
-        k = bisect_right(self.run_lo, r, first, self.col_ptr[j]) - 1
-        if k < first or r > self.run_hi[k]:
+        mask = self.col_open[j - 1]
+        if not mask >> r & 1:
             return None
-        return float(self.vals[self.run_off[k] + r - self.run_lo[k]])
+        return self.vals.item(self.col_off[j - 1] + (mask & ((1 << r) - 1)).bit_count())
 
 
-def _expand(runs: list[tuple[int, int]]) -> list[int]:
-    """The rows a run list covers."""
-    return [r for a, b in runs for r in range(a, b + 1)]
+def _bits(masks: list[int], n: int) -> np.ndarray:
+    """Bit r of ``masks[j]`` at ``[j, r]``, one bool per bit.  Each
+    row is at least n + 1 wide, so it ends in a zero past row n - 1."""
+    width = n // 8 + 1
+    buf = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
+    return bits.view(bool).reshape(len(masks), 8 * width)
+
+
+def _rows(masks: list[int], n: int) -> list[list[int]]:
+    """The set bits of each mask, ascending."""
+    return [np.flatnonzero(col).tolist() for col in _bits(masks, n)]
 
 
 def populate(
@@ -285,39 +279,22 @@ def populate(
             return None
         return k_lo, k_hi
 
-    union_cache: dict[tuple[int, int] | None, list[tuple[int, int]]] = {}
-    col_bin_runs: list[list[tuple[int, int]]] = []
+    cache: dict[tuple[int, int] | None, int] = {}
+    col_bin: list[int] = []
     for j in range(m):
         key = bin_range(float(qv[j]))
-        runs = union_cache.get(key)
-        if runs is None:
-            runs = []
+        mask = cache.get(key)
+        if mask is None:
+            mask = 0
             if key is not None:
-                lo_val = bounds[key[0]][0]
-                hi_val = bounds[key[1]][1]
-                idx = np.nonzero((sv >= lo_val) & (sv <= hi_val))[0]
-                if idx.size:
-                    brk = np.flatnonzero(idx[1:] != idx[:-1] + 1)
-                    starts = idx[np.concatenate(([0], brk + 1))].tolist()
-                    ends = idx[np.concatenate((brk, [idx.size - 1]))].tolist()
-                    runs = list(zip(starts, ends))
-            union_cache[key] = runs
-        col_bin_runs.append(runs)
-    # Columns share their run lists through the cache, so forcing a
-    # corner replaces the list of column 1 or m instead of editing it.
-    runs = col_bin_runs[0]
-    if not runs or runs[0][0] != 0:
-        if runs and runs[0][0] == 1:
-            col_bin_runs[0] = [(0, runs[0][1])] + runs[1:]
-        else:
-            col_bin_runs[0] = [(0, 0)] + runs
-    runs = col_bin_runs[m - 1]
-    if not runs or runs[-1][1] != n - 1:
-        if runs and runs[-1][1] == n - 2:
-            col_bin_runs[m - 1] = runs[:-1] + [(runs[-1][0], n - 1)]
-        else:
-            col_bin_runs[m - 1] = runs + [(n - 1, n - 1)]
-    return SparseMatrix(n, m, col_bin_runs)
+                rows = (sv >= bounds[key[0]][0]) & (sv <= bounds[key[1]][1])
+                packed = np.packbits(rows, bitorder="little").tobytes()
+                mask = int.from_bytes(packed, "little")
+            cache[key] = mask
+        col_bin.append(mask)
+    col_bin[0] |= 1
+    col_bin[m - 1] |= 1 << (n - 1)
+    return SparseMatrix(n, m, col_bin)
 
 
 def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix:
@@ -332,132 +309,50 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     """
     n = sm.n
     m = sm.m
-    last_col = m - 1
-    last_row = n - 1
-    if sm.col_bin_runs is None:
-        raise RuntimeError("populate() did not record run bounds")
+    col_bin = sm.col_bin
+    full = (1 << n) - 1
     # --- Pass 1: unblocking closure (open/closed status only). ---
     # Visiting cells in column-major order and opening the upper
     # neighbors of any cell whose upper neighbors are all closed is a
     # purely structural rule: it never looks at costs.  Resolving it
     # first leaves the cost sweep below with nothing to do per cell but
-    # the three-way minimum.  Two facts keep this pass cheap: only the
-    # last cell of a maximal run can have zero open upper neighbors
-    # (interior cells always see the next row of their own run), and a
-    # cell opened by unblocking gains an open upper neighbor in the
-    # next column at the same time, so extensions never cascade within
-    # a column except in the final one.
-    col_runs: list[list[tuple[int, int]]] = []
-    unblocked = 0
-    extra: list[int] = []
-    for j in range(m):
-        bin_runs = sm.col_bin_runs[j]
-        if extra:
-            # Splice the cells opened from column j-1 into the run
-            # list.  They are sorted, disjoint from the bin runs, and
-            # few, so a linear merge at run granularity suffices.
-            merged: list[tuple[int, int]] = []
-            ei = 0
-            E = len(extra)
-            for a_row, b_row in bin_runs:
-                while ei < E and extra[ei] < a_row:
-                    x = extra[ei]
-                    if merged and merged[-1][1] == x - 1:
-                        merged[-1] = (merged[-1][0], x)
-                    else:
-                        merged.append((x, x))
-                    ei += 1
-                if merged and merged[-1][1] == a_row - 1:
-                    merged[-1] = (merged[-1][0], b_row)
-                else:
-                    merged.append((a_row, b_row))
-            while ei < E:
-                x = extra[ei]
-                if merged and merged[-1][1] == x - 1:
-                    merged[-1] = (merged[-1][0], x)
-                else:
-                    merged.append((x, x))
-                ei += 1
-            base_runs = merged
-        else:
-            base_runs = bin_runs
-        nxt_runs = sm.col_bin_runs[j + 1] if j < last_col else None
-        NX = len(nxt_runs) if nxt_runs is not None else 0
-        extra = []
-        NE = 0
-        xq = 0  # run pointer into nxt_runs; queries only move down
-        ep = 0  # element pointer into extra
-        runs: list[tuple[int, int]] = []
-        n_runs = len(base_runs)
-        for ridx in range(n_runs):
-            a_row, b_row = base_runs[ridx]
-            # An extension of the previous run can land flush against
-            # this one; merge so runs stay maximal.
-            if runs and runs[-1][1] == a_row - 1:
-                a_row = runs[-1][0]
-                runs.pop()
-            while True:
-                e1 = b_row + 1
-                in_col = e1 <= last_row
-                if (
-                    in_col
-                    and ridx + 1 < n_runs
-                    and base_runs[ridx + 1][0] == e1
-                ):
-                    break  # flush against the following run
-                if nxt_runs is None:
-                    if not in_col:
-                        break  # bottom-right corner: no upper neighbors
-                    # Final column: the only upper neighbor is e1, so
-                    # the extension cascades straight down.
-                    b_row = e1
-                    unblocked += 1
-                    continue
-                # Is (b_row, j+1) or (e1, j+1) already open?  Runs and
-                # extras are sorted and queries only move downward, so
-                # merge pointers answer membership in amortized O(1).
-                while xq < NX and nxt_runs[xq][1] < b_row:
-                    xq += 1
-                while ep < NE and extra[ep] < b_row:
-                    ep += 1
-                hit = (xq < NX and nxt_runs[xq][0] <= b_row) or (
-                    ep < NE and extra[ep] == b_row
-                )
-                if not hit and in_col:
-                    hit = (xq < NX and nxt_runs[xq][0] <= e1) or (
-                        (ep < NE and extra[ep] == e1)
-                        or (ep + 1 < NE and extra[ep + 1] == e1)
-                    )
-                if hit:
-                    break
-                # Zero open upper neighbors: open them all.
-                extra.append(b_row)
-                NE += 1
-                unblocked += 1
-                if in_col:
-                    extra.append(e1)
-                    NE += 1
-                    b_row = e1
-                    unblocked += 2
-                # The freshly opened (b_row, j+1) is now an open upper
-                # neighbor of the extension cell, so the chain stops.
-                break
-            runs.append((a_row, b_row))
-        col_runs.append(runs)
+    # the three-way minimum.  It runs on whole columns of bits.  An open
+    # cell (r, j) is stuck when (r + 1, j), (r, j + 1) and (r + 1, j + 1)
+    # are all closed; unblocking it opens rows r and r + 1 of column
+    # j + 1 and row r + 1 of column j, so one mask of rows r and r + 1
+    # per stuck cell serves both columns.  The cell opened in column j is
+    # never stuck, since (r + 1, j + 1) opens with it, and two stuck
+    # cells are never in adjacent rows (a stuck cell's next row is
+    # closed), so unblocking one never opens an upper neighbor of
+    # another: a column's stuck cells are found in one step.  In the
+    # final column a cell's only upper neighbor is the next row, so
+    # everything from the first open row down opens.  Cells opened here
+    # are the open cells not opened by bins, counted once at the end.
+    col_open = []
+    carry = 0  # rows of column j opened from column j - 1
+    for b, nxt in pairwise(col_bin):
+        o = b | carry
+        carry = o & ~(nxt | (o | nxt) >> 1)  # the stuck cells
+        if carry:
+            carry |= carry << 1 & full
+            o |= carry
+        col_open.append(o)
+    o = col_bin[-1] | carry
+    col_open.append(o | (full ^ ((o & -o) - 1)))
     # --- Pass 2: cost sweep over the settled runs. ---
-    # The settled runs become the matrix's run tables, and the sweep
-    # writes every cost straight into its flat buffer.
-    col_ptr = list(accumulate(map(len, col_runs), initial=0))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(col_runs)), np.intc)
-    del col_runs  # free the run tuples before the cost buffer is allocated
-    lo_np = flat[0::2]
-    hi_np = flat[1::2]
-    off_np = np.zeros(lo_np.size + 1, np.int64)
-    np.cumsum(hi_np - lo_np + 1, dtype=np.int64, out=off_np[1:])
-    run_lo = array("i", lo_np.tobytes())
-    run_hi = array("i", hi_np.tobytes())
-    run_off = array("q", off_np.tobytes())
-    vals = np.empty(run_off[-1])
+    # The runs come from the masks in bulk: a run starts where a bit
+    # rises and ends where it falls, and the zero past each column's
+    # last row keeps runs from crossing columns.
+    bits = _bits(col_open, n).ravel()
+    width = bits.size // m
+    edges = np.flatnonzero(np.diff(bits, prepend=False))
+    starts = edges[0::2]
+    col_ptr = np.searchsorted(starts, np.arange(0, bits.size + 1, width)).tolist()
+    run_lo = (starts % width).tolist()
+    run_hi = ((edges[1::2] - 1) % width).tolist()
+    del bits, edges, starts  # freed before the cost buffer is allocated
+    col_off = list(accumulate(map(int.bit_count, col_open), initial=0))
+    vals = np.empty(col_off[-1])
     sv_np = np.asarray(s.values, dtype=np.float64)
     sv = sv_np.tolist()
     qv = q.values.tolist()
@@ -472,12 +367,12 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # base[k] + C[i] - C[k], so the column is C + cummin(base - C).
     # Below _VECTOR_SPAN rows its per-call overhead is not paid off.
     prev = [0.0] + [_INF] * n
-    prev_first = off = 0
+    prev_mask = 0
     for j in range(m):
         qj = qv[j]
         cur = [_INF] * (n + 1)
         short: list[float] = []  # scalar costs not yet written to vals
-        short_off = off
+        off = short_off = col_off[j]
         first, end = col_ptr[j], col_ptr[j + 1]
         for a_row, b_row in zip(run_lo[first:end], run_hi[first:end]):
             cnt = b_row - a_row + 1
@@ -497,12 +392,12 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
                 vals[short_off:off] = short
                 short = []
             # Previous-column costs on the run's rows: a view of vals
-            # when one previous run covers them, else stitched from the
-            # dense list.  best is the cheaper of each row's left and
-            # diagonal neighbor.
-            k = bisect_right(run_lo, a_row, prev_first, first) - 1
-            if k >= prev_first and b_row <= run_hi[k]:
-                p0 = run_off[k] + a_row - run_lo[k]
+            # when they are all open there, else stitched from the dense
+            # list.  best is the cheaper of each row's left and diagonal
+            # neighbor.
+            span = (1 << cnt) - 1
+            if prev_mask >> a_row & span == span:
+                p0 = col_off[j - 1] + (prev_mask & ((1 << a_row) - 1)).bit_count()
                 left = vals[p0 : p0 + cnt]
             else:
                 left = np.array(prev[a_row + 1 : b_row + 2])
@@ -524,18 +419,16 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         if short:
             vals[short_off:off] = short
         prev = cur
-        prev_first = first
+        prev_mask = col_open[j]
     if vals[-1] == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    sm.col_ptr = col_ptr
-    sm.run_lo = run_lo
-    sm.run_hi = run_hi
-    sm.run_off = run_off
+    sm.col_open = col_open
+    sm.col_off = col_off
     sm.vals = vals
-    sm.unblocked = unblocked
+    sm.unblocked = col_off[-1] - sum(map(int.bit_count, col_bin))
     return sm
 
 
@@ -593,13 +486,12 @@ def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
     qv = q.values.tolist()
     acc = iter(sm.vals.tolist()) if sm.vals is not None else repeat(None)
     out = []
-    for j, runs in enumerate(sm._column_runs()):
+    for j, rows in enumerate(_rows(sm._masks(), n)):
         qj = qv[j]
-        for a, b in runs:
-            for r in range(a, b + 1):
-                lc = local_distance(sv[r], qj)
-                lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
-                v = next(acc)
-                a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
-                out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
+        for r in rows:
+            lc = local_distance(sv[r], qj)
+            lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
+            v = next(acc)
+            a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
+            out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
     return out

@@ -14,7 +14,7 @@ from tswarp import (
     upper_neighbors,
     validate_path,
 )
-from tswarp.sparse import dump_lines, forward_pass, populate
+from tswarp.sparse import _VECTOR_SPAN, dump_lines, forward_pass, populate
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -177,18 +177,18 @@ class TestSparseDtw:
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
     """Final cost and sorted open cells of ``_reference_engine``."""
-    acc, open_cells = _reference_engine(s, q, res)
+    acc, open_cells, _ = _reference_engine(s, q, res)
     return acc[len(s) * len(q)], open_cells
 
 
 def _reference_engine(s: TimeSeries, q: TimeSeries, res: float):
     """Literal single-sweep engine built on the neighbor functions.
 
-    Independent of the production column-run representation: a dict
+    Independent of the production bitmask representation: a dict
     keyed by linear index, scanned once in increasing order, opening
     cells exactly when a processed cell has no open upper neighbor.
-    Returns the accumulated cost of every open cell and the sorted open
-    cells.
+    Returns the accumulated cost of every open cell, the sorted open
+    cells and the number of cells unblocking opened.
     """
     sq = quantize(s).values
     qq = quantize(q).values
@@ -206,6 +206,7 @@ def _reference_engine(s: TimeSeries, q: TimeSeries, res: float):
     sv = s.values
     qv = q.values
     acc: dict[int, float] = {}
+    unblocked = 0
     for c in range(1, n * m + 1):
         if c not in open_set:
             continue
@@ -220,7 +221,8 @@ def _reference_engine(s: TimeSeries, q: TimeSeries, res: float):
         uppers = upper_neighbors(c, n, m)
         if uppers and not (uppers & open_set):
             open_set |= uppers
-    return acc, sorted(open_set)
+            unblocked += len(uppers)
+    return acc, sorted(open_set), unblocked
 
 
 class TestAgainstReferenceEngine:
@@ -278,10 +280,12 @@ def _run_lengths(rows: list[int]) -> list[int]:
     return out
 
 
+# Lengths 1-70: the open-row masks cross the 8- and 64-bit boundaries,
+# n = 1 and m = 1 occur, and runs can reach the vectorized sweep.
 samples = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False),
-    min_size=2,
-    max_size=40,
+    min_size=1,
+    max_size=70,
 )
 
 
@@ -306,17 +310,21 @@ class TestRunCompressedStorage:
                 cells[j * n + r + 1] = v
         assert sm.open_cells() == sorted(cells)
         assert sm.open_count == len(cells)
-        acc, ref_open = _reference_engine(s, q, res)
+        acc, ref_open, ref_unblocked = _reference_engine(s, q, res)
         assert sm.open_cells() == ref_open
+        assert sm.unblocked == ref_unblocked
+        # Runs shorter than _VECTOR_SPAN take the scalar kernel, whose
+        # arithmetic is the reference's: costs agree exactly.  Longer
+        # runs sum in another order and may differ in the last bits.
+        exact = n < _VECTOR_SPAN
         for j in range(1, m + 1):
             for i in range(1, n + 1):
                 c = (j - 1) * n + i
                 assert sm.is_open(i, j) == (c in cells)
-                # Runs this short take the scalar kernel, whose
-                # arithmetic is the reference's: costs agree exactly.
-                assert sm.accumulated(i, j) == (acc[c] if c in cells else None)
+                v = sm.accumulated(i, j)
+                assert v == (cells[c] if c in cells else None)
                 if c in cells:
-                    assert cells[c] == acc[c]
+                    assert v == (acc[c] if exact else pytest.approx(acc[c], rel=1e-9))
         lines = dump_lines(sm, s, q)
         assert [int(ln.split(",")[0]) for ln in lines] == sorted(cells)
         for ln in lines:
@@ -335,7 +343,7 @@ class TestRunCompressedStorage:
         q = TimeSeries("q", [0, 1, 2, 40, 40, 1, 0, 2, 40])
         sm = _filled(s, q, 0.25)
         assert span in _run_lengths(sm.col_open_rows[1])
-        acc, ref_open = _reference_engine(s, q, 0.25)
+        acc, ref_open, _ = _reference_engine(s, q, 0.25)
         assert sm.open_cells() == ref_open
         n = len(s)
         for c in ref_open:
@@ -349,12 +357,52 @@ class TestRunCompressedStorage:
         sm = _filled(s, q, 0.5)
         assert _run_lengths(sm.col_open_rows[1]) == [30, 39]
         assert _run_lengths(sm.col_open_rows[2]) == [70]
-        acc, ref_open = _reference_engine(s, q, 0.5)
+        acc, ref_open, _ = _reference_engine(s, q, 0.5)
         assert sm.open_cells() == ref_open
         n = len(s)
         for c in ref_open:
             assert sm.accumulated((c - 1) % n + 1, (c - 1) // n + 1) == acc[c]
         assert sparse_dtw(s, q, 0.5).raw_cost == acc[n * len(q)]
+
+    @pytest.mark.parametrize(
+        "a, b, res, opened",
+        [
+            # Row n of column 1 is open and (n, 2) closed: unblocking
+            # opens (n, 2) only, which in turn opens (n, 3).
+            ([0, 0, 9], [9, 0, 0, 9], 0.5, [6, 9]),
+            ([0] * 63 + [9], [9, 0, 0, 9], 0.5, [128, 192]),
+            # The final column bin-opens three runs, rows 1, 4 and 6,
+            # and fills down from row 1.
+            ([0, 9, 9, 0, 9, 0], [0, 9, 0], 0.5, [12, 14, 15, 17]),
+            # One column of 8, 9, 64 and 65 rows, whose masks end on
+            # either side of a byte and a 64-bit word: it fills down
+            # over the rows whose sample, 2 to 4, shares no bin with
+            # the query's.
+            *[
+                (
+                    [k * 7 % 5 for k in range(n)],
+                    [0],
+                    0.25,
+                    [k + 1 for k in range(1, n - 1) if k * 7 % 5 >= 2],
+                )
+                for n in (8, 9, 64, 65)
+            ],
+        ],
+    )
+    def test_unblocking_edge_cases_match_the_reference(self, a, b, res, opened):
+        # Integer samples keep every sum exact, so all costs must equal
+        # the reference's bit for bit, long runs included.
+        s = TimeSeries("s", a)
+        q = TimeSeries("q", b)
+        n = len(a)
+        binned = set(populate(quantize(s), quantize(q), build_bins(res), s, q).open_cells())
+        sm = _filled(s, q, res)
+        acc, ref_open, ref_unblocked = _reference_engine(s, q, res)
+        assert sorted(set(sm.open_cells()) - binned) == opened
+        assert sm.open_cells() == ref_open
+        assert sm.unblocked == ref_unblocked == len(opened)
+        for c in ref_open:
+            assert sm.accumulated((c - 1) % n + 1, (c - 1) // n + 1) == acc[c]
 
     @pytest.mark.parametrize(
         "a, b",

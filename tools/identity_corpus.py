@@ -9,7 +9,8 @@ dumps record by record:
 
 The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 1-12), 60 Gaussian pairs of unequal lengths 1-39, generated pairs at
-L in {60, 120, 250} x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
+L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
+of a 64-bit word) x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
 strongly non-square generated pairs, an overflowing pair and a constant
 pair.  Each pair runs through full, dc (ceil, and floor on small
 pairs), band at seven widths (narrow ones disconnect on non-square
@@ -56,7 +57,7 @@ def _pairs(tw, np):
         a = rng.normal(size=int(rng.integers(1, 40)))
         b = rng.normal(size=int(rng.integers(1, 40)))
         yield f"rnd{k}", tw.TimeSeries("a", a), tw.TimeSeries("b", b)
-    for L in (60, 120, 250):
+    for L in (60, 63, 64, 65, 120, 250):
         for rho in (0.0, 0.5, 0.95, 0.99):
             for seed in (7, 8):
                 s, q = tw.generate_pair(tw.SyntheticSpec(L, rho, seed))
