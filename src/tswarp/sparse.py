@@ -12,23 +12,25 @@ OPEN cells.  It equals the true optimum at res = 1 only; below that it
 often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
-Open cells are stored as one bitmask of open rows per column (a Python
-int) and one flat float64 buffer of accumulated costs in column-major
-order (see ``SparseMatrix``): 8 bytes per open cell plus about a bit per
-matrix cell, where a dense matrix takes 8 bytes per cell.  The
-unblocking pass works on whole columns of bits at a time.  The public
-contract speaks in 1-based column-major linear indices:
+Open cells are stored per anti-diagonal (see ``SparseMatrix``): one
+bitmask of open cells per diagonal (a Python int) and one flat float64
+buffer of accumulated costs in diagonal-major order, 8 bytes per open
+cell plus about a bit per matrix cell, where a dense matrix takes 8
+bytes per cell.  The unblocking pass works on whole columns of bits at
+a time and the cost sweep on whole anti-diagonals.  The public contract
+speaks in 1-based column-major linear indices:
 index(i, j) = (j - 1) * n + i.
 """
 
 from __future__ import annotations
 
-import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import (
     AlignmentResult,
@@ -41,7 +43,6 @@ from .core import (
     local_distance,
     normalized_distance,
     quantize,
-    sweep_column,
 )
 
 __all__ = [
@@ -63,8 +64,8 @@ _INF = float("inf")
 
 DEFAULT_RES = 0.5
 
-# Runs at least this many rows long take the vectorized cost sweep.
-_VECTOR_SPAN = 48
+# Anti-diagonals swept per block of the cost sweep.
+_BLOCK = 8
 
 
 class SparseConnectivityError(RuntimeError):
@@ -140,102 +141,139 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
 
 @dataclass
 class SparseMatrix:
-    """Open cells of the warping matrix, one bitmask per column.
-
-    A column's mask is a Python int whose bit r is set when row r
-    (0-based) of that column is open.
+    """Open cells of the warping matrix, as bitmasks (Python ints).
 
     Stored:
 
     - ``col_bin``: each column's bin-opened rows, corners forced in,
-      from ``populate``.
-    - After ``forward_pass``: ``col_open``, each column's final open
-      rows; ``col_off``, m + 1 offsets into ``vals``; and ``vals``, one
-      flat float64 buffer of every open cell's accumulated cost,
-      column-major with rows ascending.  Column j's costs are
-      ``vals[col_off[j]:col_off[j + 1]]``, and open row r's cost sits
-      at ``col_off[j]`` plus the number of open rows before r, a
-      popcount of the mask's low r bits.  That is 8 bytes per open cell
-      plus, per column, n / 8 bytes of mask and about 70 bytes of
-      Python int and list overhead.
+      from ``populate``; bit r is set when row r (0-based) is open.
+    - After ``forward_pass``, per anti-diagonal d = r + j (0-based row r
+      and column j, d from 0 to n + m - 2): ``diag_open``, whose bit k
+      is set when the diagonal's cell in column ``max(0, d - n + 1) + k``
+      (its first column plus k) is open; ``diag_off``, n + m offsets
+      into ``vals``; and ``vals``, one flat float64 buffer of every open
+      cell's accumulated cost, diagonal-major with columns ascending.
+      Diagonal d's costs are ``vals[diag_off[d]:diag_off[d + 1]]``, and
+      the cost of its open bit k sits at ``diag_off[d + 1]`` less the
+      popcount of ``mask >> k``, so a query touches only the diagonal's
+      bits from k on.  That is 8 bytes per open cell plus, per
+      diagonal, a mask of at most min(n, m) bits, an 8-byte offset and
+      about 35 bytes of Python int and list overhead.  The forward pass
+      also skews the open set through a transient bool array of about
+      two bytes per matrix cell, freed before ``vals`` is allocated.  A
+      whole ``sparse_dtw`` call measured a tracemalloc peak of 10.1
+      bytes per open cell at L = 2000, rho 0.95, res 0.1 (32% of cells
+      open), and 8.8 at res 0.5 (76% open).
 
     ``col_rows`` (bin-opened rows), ``col_open_rows`` (final open rows)
-    and ``col_vals`` (per-column views of ``vals``) are read-only views,
-    derived from the masks on each access for callers that want
-    per-column lists; the last two are None before the forward pass.
+    and ``col_vals`` (each column's costs, rows ascending) are read-only
+    column-major views, derived with numpy on each access; the last two
+    are None before the forward pass.
     """
 
     n: int
     m: int
     col_bin: list[int]
-    col_open: list[int] | None = None
-    col_off: list[int] | None = None
+    diag_open: list[int] | None = None
+    diag_off: array | None = None
     vals: np.ndarray | None = None
     unblocked: int = 0
 
-    def _masks(self) -> list[int]:
-        """Each column's open rows: the final ones once the forward pass
-        has run, the bin-opened ones before."""
-        return self.col_bin if self.vals is None else self.col_open
+    def _diag_bits(self) -> np.ndarray:
+        """The final open cells as bools, column j of diagonal d at
+        ``[d, j]``."""
+        n = self.n
+        return _bits([mask << max(0, d - n + 1) for d, mask in enumerate(self.diag_open)], self.m)
+
+    def _open_bits(self) -> np.ndarray:
+        """Open cells at ``[j, r]`` of an (m, n) bool array: the final
+        ones once the forward pass has run, the bin-opened ones before."""
+        if self.vals is None:
+            return _bits(self.col_bin, self.n)
+        return _unskew(self._diag_bits(), self.n, self.m)
+
+    def _col_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """The final open cells as ``_open_bits`` has them, and their
+        costs in column-major order."""
+        bits = self._diag_bits()
+        index = np.empty(bits.shape, np.intp)  # into vals, where open
+        index[bits] = np.arange(self.vals.size)
+        cols = _unskew(bits, self.n, self.m)
+        return cols, self.vals[_unskew(index, self.n, self.m)[cols]]
 
     @property
     def col_rows(self) -> list[list[int]]:
         """Bin-opened rows (0-based, ascending) per column."""
-        return _rows(self.col_bin, self.n)
+        return _rows(_bits(self.col_bin, self.n))
 
     @property
     def col_open_rows(self) -> list[list[int]] | None:
         """Final open rows per column; None before the forward pass."""
         if self.vals is None:
             return None
-        return _rows(self.col_open, self.n)
+        return _rows(self._open_bits())
 
     @property
     def col_vals(self) -> list[np.ndarray] | None:
-        """Accumulated costs per column, as views of ``vals``; None
-        before the forward pass."""
+        """Accumulated costs per column, rows ascending; None before
+        the forward pass."""
         if self.vals is None:
             return None
-        return [self.vals[a:b] for a, b in pairwise(self.col_off)]
+        cols, vals = self._col_major()
+        ends = accumulate(np.count_nonzero(cols, axis=1).tolist(), initial=0)
+        return [vals[a:b] for a, b in pairwise(ends)]
 
     @property
     def open_count(self) -> int:
         if self.vals is not None:
-            return self.col_off[-1]
+            return self.diag_off[-1]
         return sum(map(int.bit_count, self.col_bin))
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        return bool(self._masks()[j - 1] >> (i - 1) & 1)
+        if self.vals is None:
+            return bool(self.col_bin[j - 1] >> (i - 1) & 1)
+        return self.accumulated(i, j) is not None
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
-        n = self.n
-        return [j * n + r + 1 for j, rows in enumerate(_rows(self._masks(), n)) for r in rows]
+        js, rs = np.nonzero(self._open_bits())
+        return (js * self.n + rs + 1).tolist()
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
         if self.vals is None:
             raise RuntimeError("forward pass has not run yet")
-        r = i - 1
-        mask = self.col_open[j - 1]
-        if not mask >> r & 1:
+        d = i + j - 2
+        # The cell's bit: its column less the diagonal's first column.
+        k = self.n - i
+        if k > j - 1:
+            k = j - 1
+        above = self.diag_open[d] >> k  # the cell and the open cells after it
+        if not above & 1:
             return None
-        return self.vals.item(self.col_off[j - 1] + (mask & ((1 << r) - 1)).bit_count())
+        return self.vals.item(self.diag_off[d + 1] - above.bit_count())
 
 
-def _bits(masks: list[int], n: int) -> np.ndarray:
-    """Bit r of ``masks[j]`` at ``[j, r]``, one bool per bit.  Each
-    row is at least n + 1 wide, so it ends in a zero past row n - 1."""
-    width = n // 8 + 1
-    buf = b"".join([mask.to_bytes(width, "little") for mask in masks])
+def _bits(masks: list[int], width: int) -> np.ndarray:
+    """Bit k of ``masks[x]`` at ``[x, k]``, k < width, one bool per bit."""
+    nbytes = (width + 7) // 8
+    buf = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
     bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
-    return bits.view(bool).reshape(len(masks), 8 * width)
+    return bits.view(bool).reshape(len(masks), 8 * nbytes)[:, :width]
 
 
-def _rows(masks: list[int], n: int) -> list[list[int]]:
-    """The set bits of each mask, ascending."""
-    return [np.flatnonzero(col).tolist() for col in _bits(masks, n)]
+def _unskew(diag: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (m, n) view ``[j, r] -> diag[r + j, j]`` of an array indexed
+    by anti-diagonal and column, which needs n + m - 1 rows and m
+    columns at least: cell (r, j) sits on diagonal r + j."""
+    step_d, step_j = diag.strides
+    return as_strided(diag, (m, n), (step_d + step_j, step_d))
+
+
+def _rows(bits: np.ndarray) -> list[list[int]]:
+    """The set positions of each row of ``bits``, ascending."""
+    return [np.flatnonzero(row).tolist() for row in bits]
 
 
 def populate(
@@ -254,51 +292,29 @@ def populate(
     sv = np.asarray(sq.values)
     qv = np.asarray(qq.values)
     n = sv.size
-    m = qv.size
-    # A sample occupies a contiguous range of the overlapping bins, so
-    # the union of its bins' row sets is the rows falling in a single
-    # interval.  The candidate bin range comes from arithmetic on the
-    # bin stride and is then corrected against the closed bounds, so
-    # boundary samples land exactly as the interval test dictates.
-    half = bins.res / 2.0
-    nb = len(bins.bins)
-    bounds = bins.bins
-
-    def bin_range(v: float) -> tuple[int, int] | None:
-        k_lo = max(0, int(math.ceil((v - bins.res) / half - 1e-9)))
-        k_hi = min(nb - 1, int(math.floor(v / half + 1e-9)))
-        while k_lo > 0 and bounds[k_lo - 1][0] <= v <= bounds[k_lo - 1][1]:
-            k_lo -= 1
-        while k_lo <= k_hi and not (bounds[k_lo][0] <= v <= bounds[k_lo][1]):
-            k_lo += 1
-        while k_hi < nb - 1 and bounds[k_hi + 1][0] <= v <= bounds[k_hi + 1][1]:
-            k_hi += 1
-        while k_hi >= k_lo and not (bounds[k_hi][0] <= v <= bounds[k_hi][1]):
-            k_hi -= 1
-        if k_lo > k_hi:
-            return None
-        return k_lo, k_hi
-
-    cache: dict[tuple[int, int] | None, int] = {}
-    col_bin: list[int] = []
-    for j in range(m):
-        key = bin_range(float(qv[j]))
-        mask = cache.get(key)
-        if mask is None:
-            mask = 0
-            if key is not None:
-                rows = (sv >= bounds[key[0]][0]) & (sv <= bounds[key[1]][1])
-                packed = np.packbits(rows, bitorder="little").tobytes()
-                mask = int.from_bytes(packed, "little")
-            cache[key] = mask
-        col_bin.append(mask)
+    nb = len(bins)
+    # Sample v lies in bin k when lows[k] <= v <= highs[k].  Both bounds
+    # ascend, so v's bins are the contiguous range first..last found
+    # below, never empty for v in [0, 1], and the rows it opens are
+    # those whose samples fall in [lows[first], highs[last]].  Columns
+    # are grouped by range, and each group shares one mask.
+    lows, highs = np.array(bins.bins).T
+    first = np.searchsorted(highs, qv, side="left")
+    last = np.searchsorted(lows, qv, side="right") - 1
+    keys, col_key = np.unique(first * nb + last, return_inverse=True)
+    first, last = np.divmod(keys, nb)
+    rows = (sv >= lows[first][:, None]) & (sv <= highs[last][:, None])
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    col_bin = list(map(masks.__getitem__, col_key.tolist()))
     col_bin[0] |= 1
-    col_bin[m - 1] |= 1 << (n - 1)
-    return SparseMatrix(n, m, col_bin)
+    col_bin[-1] |= 1 << (n - 1)
+    return SparseMatrix(n, qv.size, col_bin)
 
 
 def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix:
-    """Accumulate costs over open cells in column-major order.
+    """Accumulate costs over open cells, as one sweep in column-major
+    order would.
 
     Each cell's cost is its local cost plus the minimum accumulated
     cost over its OPEN lower neighbors (+inf when it has none, so a
@@ -339,96 +355,75 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         col_open.append(o)
     o = col_bin[-1] | carry
     col_open.append(o | (full ^ ((o & -o) - 1)))
-    # --- Pass 2: cost sweep over the settled runs. ---
-    # The runs come from the masks in bulk: a run starts where a bit
-    # rises and ends where it falls, and the zero past each column's
-    # last row keeps runs from crossing columns.
-    bits = _bits(col_open, n).ravel()
-    width = bits.size // m
-    edges = np.flatnonzero(np.diff(bits, prepend=False))
-    starts = edges[0::2]
-    col_ptr = np.searchsorted(starts, np.arange(0, bits.size + 1, width)).tolist()
-    run_lo = (starts % width).tolist()
-    run_hi = ((edges[1::2] - 1) % width).tolist()
-    del bits, edges, starts  # freed before the cost buffer is allocated
-    col_off = list(accumulate(map(int.bit_count, col_open), initial=0))
-    vals = np.empty(col_off[-1])
-    sv_np = np.asarray(s.values, dtype=np.float64)
-    sv = sv_np.tolist()
-    qv = q.values.tolist()
-    # The previous column is kept as a dense list: slot r + 1 holds row
-    # r, inf where it is closed, and slot 0 the virtual cell diagonal to
-    # (1, 1), cost 0 before column 0 and inf after, so that (1, 1)
-    # starts every path without a special case.  Short runs go through
-    # the scalar kernel on slices of it.  Long runs use a vectorized
-    # form of the recurrence: with local costs lc, their prefix sums C
-    # and base[i] = lc[i] + best previous-column neighbor, a chain
-    # entering the run at row k and moving vertically to row i costs
-    # base[k] + C[i] - C[k], so the column is C + cummin(base - C).
-    # Below _VECTOR_SPAN rows its per-call overhead is not paid off.
-    prev = [0.0] + [_INF] * n
-    prev_mask = 0
-    for j in range(m):
-        qj = qv[j]
-        cur = [_INF] * (n + 1)
-        short: list[float] = []  # scalar costs not yet written to vals
-        off = short_off = col_off[j]
-        first, end = col_ptr[j], col_ptr[j + 1]
-        for a_row, b_row in zip(run_lo[first:end], run_hi[first:end]):
-            cnt = b_row - a_row + 1
-            if cnt < _VECTOR_SPAN:
-                col = sweep_column(
-                    sv[a_row : b_row + 1],
-                    qj,
-                    prev[a_row + 1 : b_row + 2],
-                    prev[a_row],
-                    _INF,
-                )
-                cur[a_row + 1 : b_row + 2] = col
-                short += col
-                off += cnt
-                continue
-            if short:
-                vals[short_off:off] = short
-                short = []
-            # Previous-column costs on the run's rows: a view of vals
-            # when they are all open there, else stitched from the dense
-            # list.  best is the cheaper of each row's left and diagonal
-            # neighbor.
-            span = (1 << cnt) - 1
-            if prev_mask >> a_row & span == span:
-                p0 = col_off[j - 1] + (prev_mask & ((1 << a_row) - 1)).bit_count()
-                left = vals[p0 : p0 + cnt]
-            else:
-                left = np.array(prev[a_row + 1 : b_row + 2])
-            best = left.copy()
-            np.minimum(left[:-1], left[1:], out=best[1:])
-            if prev[a_row] < best[0]:
-                best[0] = prev[a_row]
-            lc = sv_np[a_row : b_row + 1] - qj
-            lc *= lc
-            base = lc + best
-            C = np.cumsum(lc)
-            out = vals[off : off + cnt]
-            np.subtract(base, C, out=out)
-            np.minimum.accumulate(out, out=out)
-            out += C
-            cur[a_row + 1 : b_row + 2] = out.tolist()
-            off += cnt
-            short_off = off
-        if short:
-            vals[short_off:off] = short
-        prev = cur
-        prev_mask = col_open[j]
+    # --- Pass 2: cost sweep over anti-diagonals. ---
+    # Cell (r, j) depends only on diagonals r + j - 1 (its left and
+    # upper neighbors) and r + j - 2 (its diagonal neighbor), so each
+    # diagonal takes one vectorized step of the scalar kernel's
+    # arithmetic (an exact three-way minimum, then one rounding add),
+    # and every cost equals the column sweep's bit for bit.  A diagonal
+    # is held by slot: slot j + 1 is column j and slot 0 is column -1,
+    # off the matrix.  The open set is skewed once: bit j + 1 of packed
+    # row d is set when column j of diagonal d = r + j is open.
+    diags = n + m - 1
+    skew = np.zeros((diags, m + 1), bool)
+    _unskew(skew[:, 1:], n, m)[:] = _bits(col_open, n)
+    count = sum(map(int.bit_count, col_open))
+    del col_open
+    packed = np.packbits(skew, axis=1, bitorder="little")
+    del skew  # freed before the cost buffer is allocated
+    vals = np.empty(count)
+    # Each slot's samples: s_diag[d, j + 1] is s[d - j], 0 off the matrix.
+    pad = np.zeros(m + 1)
+    s_diag = sliding_window_view(np.concatenate([pad[:m], s.values, pad]), m + 1)[1:, ::-1]
+    q_slots = np.concatenate([pad[:1], q.values])
+    # Diagonals are swept _BLOCK at a time through rows[2:], full width.
+    # A row first takes its local costs, inf for a closed or off-matrix
+    # cell, so such a slot ends inf whatever its neighbors hold; slot 0
+    # stays inf but for the virtual cell diagonal to (1, 1), cost 0, in
+    # the row before diagonal 0.  rows[:2] carry the previous block's
+    # last two diagonals.  The rows are whole so that numpy runs each
+    # block step over one contiguous buffer.
+    rows = np.full((_BLOCK + 2, m + 1), _INF)
+    rows[0, 0] = 0.0
+    # Per diagonal: its own slots, then its left, upper and diagonal
+    # neighbors' slots.
+    steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
+    best = np.empty(m)
+    off = 0
+    # Costs that overflow are inf, silently, as with Python floats.
+    with np.errstate(over="ignore"):
+        for d0 in range(0, diags, _BLOCK):
+            k = min(_BLOCK, diags - d0)
+            block = rows[2 : k + 2]
+            is_open = np.unpackbits(packed[d0 : d0 + k], axis=1, count=m + 1, bitorder="little")
+            is_open = is_open.view(bool)
+            np.copyto(block, s_diag[d0 : d0 + k])
+            block -= q_slots
+            block *= block
+            np.copyto(block, _INF, where=~is_open)
+            for c, l, u, g in steps[:k]:
+                np.minimum(l, u, out=best)
+                np.minimum(best, g, out=best)
+                np.add(c, best, out=c)
+            costs = block[is_open]
+            vals[off : off + costs.size] = costs
+            off += costs.size
+            rows[:2] = rows[k : k + 2]
+    # Shifted to start at each diagonal's first column: bit 1, then
+    # bit d - n + 2 from diagonal n on.
+    shifts = chain(repeat(1, n), range(2, m + 1))
+    diag_open = [int.from_bytes(row.tobytes(), "little") >> k for row, k in zip(packed, shifts)]
+    del packed
+    diag_off = array("q", accumulate(map(int.bit_count, diag_open), initial=0))
     if vals[-1] == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    sm.col_open = col_open
-    sm.col_off = col_off
+    sm.diag_open = diag_open
+    sm.diag_off = diag_off
     sm.vals = vals
-    sm.unblocked = col_off[-1] - sum(map(int.bit_count, col_bin))
+    sm.unblocked = diag_off[-1] - sum(map(int.bit_count, col_bin))
     return sm
 
 
@@ -484,14 +479,16 @@ def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
     n = sm.n
     sv = s.values.tolist()
     qv = q.values.tolist()
-    acc = iter(sm.vals.tolist()) if sm.vals is not None else repeat(None)
+    if sm.vals is None:
+        bits, acc = sm._open_bits(), repeat(None)
+    else:
+        bits, costs = sm._col_major()
+        acc = costs.tolist()
+    js, rs = np.nonzero(bits)
     out = []
-    for j, rows in enumerate(_rows(sm._masks(), n)):
-        qj = qv[j]
-        for r in rows:
-            lc = local_distance(sv[r], qj)
-            lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
-            v = next(acc)
-            a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
-            out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
+    for j, r, v in zip(js.tolist(), rs.tolist(), acc):
+        lc = local_distance(sv[r], qv[j])
+        lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
+        a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
+        out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
     return out

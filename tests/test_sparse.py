@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from helpers import path_cost, random_pair
 from tswarp import (
+    SyntheticSpec,
     TimeSeries,
     build_bins,
     dtw_full,
+    generate_pair,
     lower_neighbors,
     quantize,
     sparse_dtw,
     upper_neighbors,
     validate_path,
 )
-from tswarp.sparse import _VECTOR_SPAN, dump_lines, forward_pass, populate
+from tswarp.sparse import dump_lines, forward_pass, populate
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -163,16 +165,28 @@ class TestSparseDtw:
         assert validate_path(r.path, 6, 4)
 
     def test_long_runs_use_same_recurrence(self):
-        # Long single-run columns exercise the vectorized sweep; the
-        # result must agree with the dense DP on near-identical pairs,
-        # where every cell is open and the two engines fully overlap.
+        # On near-identical pairs every cell is open, so sparse runs the
+        # dense DP's recurrence over the whole matrix and must agree with
+        # it bit for bit.
         rng = np.random.default_rng(35)
         base = np.cumsum(rng.normal(size=300))
         s = TimeSeries("s", base)
         q = TimeSeries("q", base + 1e-12)
         sparse = sparse_dtw(s, q, res=1.0)
         full = dtw_full(s, q)
-        assert sparse.raw_cost == pytest.approx(full.raw_cost, rel=1e-9)
+        assert sparse.raw_cost == full.raw_cost
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 120, 250])
+    def test_res_one_is_bit_identical_to_full(self, length):
+        # At res 1 every cell is open, so sparse runs the dense
+        # recurrence; its arithmetic is the scalar kernel's, so the
+        # cost and the path equal dtw_full's exactly.
+        for rho in (0.0, 0.95):
+            s, q = generate_pair(SyntheticSpec(length, rho, 11))
+            sparse = sparse_dtw(s, q, res=1.0)
+            full = dtw_full(s, q)
+            assert sparse.raw_cost == full.raw_cost
+            assert sparse.path == full.path
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
@@ -233,7 +247,7 @@ class TestAgainstReferenceEngine:
                 s, q = random_pair(rng, max_len=25, min_len=2)
                 ref_cost, ref_open = _reference_sparse(s, q, res)
                 r = sparse_dtw(s, q, res=res)
-                assert r.raw_cost == pytest.approx(ref_cost, rel=1e-9)
+                assert r.raw_cost == ref_cost
                 sm = populate(
                     quantize(s), quantize(q), build_bins(res), s, q
                 )
@@ -281,7 +295,7 @@ def _run_lengths(rows: list[int]) -> list[int]:
 
 
 # Lengths 1-70: the open-row masks cross the 8- and 64-bit boundaries,
-# n = 1 and m = 1 occur, and runs can reach the vectorized sweep.
+# n = 1 and m = 1 occur, and the sweep crosses several blocks of diagonals.
 samples = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False),
     min_size=1,
@@ -313,10 +327,7 @@ class TestRunCompressedStorage:
         acc, ref_open, ref_unblocked = _reference_engine(s, q, res)
         assert sm.open_cells() == ref_open
         assert sm.unblocked == ref_unblocked
-        # Runs shorter than _VECTOR_SPAN take the scalar kernel, whose
-        # arithmetic is the reference's: costs agree exactly.  Longer
-        # runs sum in another order and may differ in the last bits.
-        exact = n < _VECTOR_SPAN
+        # The sweep's arithmetic is the reference's: costs agree exactly.
         for j in range(1, m + 1):
             for i in range(1, n + 1):
                 c = (j - 1) * n + i
@@ -324,7 +335,7 @@ class TestRunCompressedStorage:
                 v = sm.accumulated(i, j)
                 assert v == (cells[c] if c in cells else None)
                 if c in cells:
-                    assert v == (acc[c] if exact else pytest.approx(acc[c], rel=1e-9))
+                    assert v == acc[c]
         lines = dump_lines(sm, s, q)
         assert [int(ln.split(",")[0]) for ln in lines] == sorted(cells)
         for ln in lines:
@@ -336,9 +347,8 @@ class TestRunCompressedStorage:
     @pytest.mark.parametrize("span", [47, 48, 49])
     def test_runs_either_side_of_the_vector_threshold(self, span):
         # Rows 1..span share the low bin, the rest the high one, so the
-        # low columns open one run of exactly `span` rows.  Integer
-        # samples keep every sum exact, so the vectorized sweep must
-        # reproduce the scalar reference bit for bit.
+        # low columns open one run of exactly `span` rows.  The sweep's
+        # costs must reproduce the scalar reference bit for bit.
         s = TimeSeries("s", [i % 3 for i in range(span)] + [40] * (70 - span))
         q = TimeSeries("q", [0, 1, 2, 40, 40, 1, 0, 2, 40])
         sm = _filled(s, q, 0.25)
@@ -414,6 +424,8 @@ class TestRunCompressedStorage:
             ([9, 0, 1, 0, 9], [2, 2, 2, 2]),
             # One column holds both forced corners.
             ([9, 0, 1, 0, 9], [0]),
+            # Every sample sits on a bin bound (multiples of res / 2).
+            ([0, 0.25, 0.5, 0.75, 1, 0.5, 0.25], [1, 0.75, 0.5, 0.25, 0, 0.75]),
         ],
     )
     def test_forced_corners_stay_in_their_own_columns(self, a, b):

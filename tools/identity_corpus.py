@@ -11,18 +11,24 @@ The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 1-12), 60 Gaussian pairs of unequal lengths 1-39, generated pairs at
 L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
 of a 64-bit word) x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
-strongly non-square generated pairs, an overflowing pair and a constant
-pair.  Each pair runs through full, dc (ceil, and floor on small
-pairs), band at seven widths (narrow ones disconnect on non-square
-pairs) and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the public stage
-functions.  A record holds raw costs as float.hex, paths, cell counts,
+strongly non-square generated pairs, eight pairs whose samples all sit
+on the bin bounds of one of the four resolutions, an overflowing pair
+and a constant pair.  Each pair runs through full, dc (ceil, and floor
+on small pairs), band at seven widths (narrow ones disconnect on
+non-square pairs) and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
+public stage functions.  A record holds raw costs as float.hex, paths, cell counts,
 dc splits and SpaceStats, sparse matrix contents, or the error type and
-message.  ``compare`` exits 1 when any record differs.
+message.  ``compare`` names the fields in which each differing record
+differs, counts the records per set of differing fields, prints the
+largest relative difference of the ``cost`` and ``nd`` fields, and
+exits 1 when any record differs.
 """
 
 import hashlib
 import json
+import math
 import sys
+from collections import Counter
 
 
 def _guarded(fn):
@@ -67,6 +73,20 @@ def _pairs(tw, np):
         _, q = tw.generate_pair(tw.SyntheticSpec(short_len, 0.9, seed))
         yield f"gen{long_len}x{short_len}", s, q
         yield f"gen{short_len}x{long_len}", q, s
+    # Samples on bin bounds: multiples of res / 2 (the lower bounds) and
+    # those plus res (the upper ones).  Each series holds 0 and 1, so
+    # quantizing leaves every sample on its bound.
+    for res in (0.1, 0.25, 0.5, 1.0):
+        half = res / 2.0
+        k = np.arange(round(1 / half) + 1)
+        edges = np.unique(np.concatenate([k * half, k * half + res]))
+        edges = edges[edges <= 1.0]
+        edge_rng = np.random.default_rng(round(100 * res))
+        for seed in (1, 2):
+            a = edge_rng.choice(edges, size=40)
+            b = edge_rng.choice(edges, size=37)
+            a[:2] = b[-2:] = 0.0, 1.0
+            yield f"edge{res}-{seed}", tw.TimeSeries("a", a), tw.TimeSeries("b", b)
     yield "overflow", tw.TimeSeries("s", [1e200, -1e200, 0]), tw.TimeSeries("q", [0, 1e200, 3])
     yield "constant", tw.TimeSeries("s", [0.0] * 5), tw.TimeSeries("q", [0.0] * 3)
 
@@ -124,6 +144,15 @@ def dump(src: str, out_path: str) -> None:
     print(f"{sum(len(r) for r in out.values())} records")
 
 
+def _fields(x, y) -> list[str]:
+    """Names of the fields in which two versions of a record differ."""
+    if x is None or y is None:
+        return ["(record missing)"]
+    if "error" in x or "error" in y:
+        return ["(error)"] if x.keys() == y.keys() else ["(error vs result)"]
+    return sorted(f for f in x.keys() | y.keys() if x.get(f) != y.get(f))
+
+
 def compare(a_path: str, b_path: str) -> int:
     with open(a_path) as fh:
         a = json.load(fh)
@@ -131,10 +160,25 @@ def compare(a_path: str, b_path: str) -> int:
         b = json.load(fh)
     keys = sorted({(p, k) for d in (a, b) for p in d for k in d[p]})
     differ = [(p, k) for p, k in keys if a.get(p, {}).get(k) != b.get(p, {}).get(k)]
+    by_fields = Counter()
+    largest = {}
     for p, k in differ:
-        print(f"differs: {p} {k}")
-        print(f"  {str(a.get(p, {}).get(k))[:160]}")
-        print(f"  {str(b.get(p, {}).get(k))[:160]}")
+        x, y = a.get(p, {}).get(k), b.get(p, {}).get(k)
+        fields = _fields(x, y)
+        by_fields[", ".join(fields)] += 1
+        for f in ("cost", "nd"):
+            if f in fields:
+                u, v = float.fromhex(x[f]), float.fromhex(y[f])
+                finite = math.isfinite(u) and math.isfinite(v)
+                rel = abs(u - v) / max(abs(u), abs(v)) if finite else math.inf
+                largest[f] = max(largest.get(f, 0.0), rel)
+        print(f"differs: {p} {k} in {', '.join(fields)}")
+        print(f"  {str(x)[:160]}")
+        print(f"  {str(y)[:160]}")
+    for fields, count in sorted(by_fields.items()):
+        print(f"{count} records differ in {fields}")
+    for f, rel in sorted(largest.items()):
+        print(f"largest relative {f} difference: {rel:.3g}")
     print(f"{len(keys)} records, {len(differ)} differ")
     return 1 if differ else 0
 
