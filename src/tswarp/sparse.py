@@ -17,8 +17,8 @@ bitmask of open cells per diagonal (a Python int) and one flat float64
 buffer of accumulated costs in diagonal-major order, 8 bytes per open
 cell plus about a bit per matrix cell, where a dense matrix takes 8
 bytes per cell.  The unblocking pass works on whole columns of bits at
-a time and the cost sweep on whole anti-diagonals.  The public contract
-speaks in 1-based column-major linear indices:
+a time and the cost sweep on whole anti-diagonals of the shorter side.
+The public contract speaks in 1-based column-major linear indices:
 index(i, j) = (j - 1) * n + i.
 """
 
@@ -158,17 +158,17 @@ class SparseMatrix:
       popcount of ``mask >> k``, so a query touches only the diagonal's
       bits from k on.  That is 8 bytes per open cell plus, per
       diagonal, a mask of at most min(n, m) bits, an 8-byte offset and
-      about 35 bytes of Python int and list overhead.  The forward pass
-      also skews the open set through a transient bool array of about
-      two bytes per matrix cell, freed before ``vals`` is allocated.  A
-      whole ``sparse_dtw`` call measured a tracemalloc peak of 10.1
-      bytes per open cell at L = 2000, rho 0.95, res 0.1 (32% of cells
-      open), and 8.8 at res 0.5 (76% open).
+      about 35 bytes of Python int and list overhead.  The forward
+      pass's skew of the open set, (n + m - 1) x (min(n, m) + 1) bools,
+      is freed before ``vals`` is allocated.  A whole ``sparse_dtw``
+      call peaked (tracemalloc) at 9.8 bytes per open cell at L = 2000,
+      rho 0.9, res 0.1 (32% of cells open), and 8.7 at res 0.5 (72%).
 
     ``col_rows`` (bin-opened rows), ``col_open_rows`` (final open rows)
     and ``col_vals`` (each column's costs, rows ascending) are read-only
-    column-major views, derived with numpy on each access; the last two
-    are None before the forward pass.
+    column-major views, derived with numpy on each access from about 32
+    transient bytes per open cell; the last two are None before the
+    forward pass.
     """
 
     n: int
@@ -179,39 +179,46 @@ class SparseMatrix:
     vals: np.ndarray | None = None
     unblocked: int = 0
 
-    def _diag_bits(self) -> np.ndarray:
-        """The final open cells as bools, column j of diagonal d at
-        ``[d, j]``."""
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The open cells in column-major order: their columns, their
+        rows (0-based) and, once the forward pass has run, the index of
+        each one's cost in ``vals`` (None before)."""
         n = self.n
-        return _bits([mask << max(0, d - n + 1) for d, mask in enumerate(self.diag_open)], self.m)
-
-    def _open_bits(self) -> np.ndarray:
-        """Open cells at ``[j, r]`` of an (m, n) bool array: the final
-        ones once the forward pass has run, the bin-opened ones before."""
         if self.vals is None:
-            return _bits(self.col_bin, self.n)
-        return _unskew(self._diag_bits(), self.n, self.m)
+            cols, rows = np.nonzero(_bits(self.col_bin, n))
+            return cols, rows, None
+        # Bit k of diagonal d, flat index d * w + k, is column k plus the
+        # diagonal's first column, max(0, d - n + 1).
+        w = min(n, self.m)
+        d = np.arange(len(self.diag_open))
+        per_diag = np.diff(self.diag_off)
+        cols = np.flatnonzero(_bits(self.diag_open, w))
+        cols -= np.repeat(d * w - np.maximum(d - n + 1, 0), per_diag)
+        rows = np.repeat(d, per_diag) - cols
+        # Rows ascend with d within a column, so a stable sort by column
+        # is column-major; numpy sorts keys of 16 bits or less by radix.
+        order = np.argsort(cols.astype(np.min_scalar_type(self.m)), kind="stable")
+        cols = cols[order]
+        return cols, rows[order], order
 
-    def _col_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """The final open cells as ``_open_bits`` has them, and their
-        costs in column-major order."""
-        bits = self._diag_bits()
-        index = np.empty(bits.shape, np.intp)  # into vals, where open
-        index[bits] = np.arange(self.vals.size)
-        cols = _unskew(bits, self.n, self.m)
-        return cols, self.vals[_unskew(index, self.n, self.m)[cols]]
+    def _per_col(self, cols: np.ndarray, values):
+        """``values`` sliced by column, for cells in column-major order."""
+        ends = accumulate(np.bincount(cols, minlength=self.m).tolist(), initial=0)
+        return [values[a:b] for a, b in pairwise(ends)]
 
     @property
     def col_rows(self) -> list[list[int]]:
         """Bin-opened rows (0-based, ascending) per column."""
-        return _rows(_bits(self.col_bin, self.n))
+        cols, rows = np.nonzero(_bits(self.col_bin, self.n))
+        return self._per_col(cols, rows.tolist())
 
     @property
     def col_open_rows(self) -> list[list[int]] | None:
         """Final open rows per column; None before the forward pass."""
         if self.vals is None:
             return None
-        return _rows(self._open_bits())
+        cols, rows, _ = self._cells()
+        return self._per_col(cols, rows.tolist())
 
     @property
     def col_vals(self) -> list[np.ndarray] | None:
@@ -219,9 +226,8 @@ class SparseMatrix:
         the forward pass."""
         if self.vals is None:
             return None
-        cols, vals = self._col_major()
-        ends = accumulate(np.count_nonzero(cols, axis=1).tolist(), initial=0)
-        return [vals[a:b] for a, b in pairwise(ends)]
+        cols, _, order = self._cells()
+        return self._per_col(cols, self.vals[order])
 
     @property
     def open_count(self) -> int:
@@ -237,8 +243,8 @@ class SparseMatrix:
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
-        js, rs = np.nonzero(self._open_bits())
-        return (js * self.n + rs + 1).tolist()
+        cols, rows, _ = self._cells()
+        return (cols * self.n + rows + 1).tolist()
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
@@ -261,19 +267,6 @@ def _bits(masks: list[int], width: int) -> np.ndarray:
     buf = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
     bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
     return bits.view(bool).reshape(len(masks), 8 * nbytes)[:, :width]
-
-
-def _unskew(diag: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The (m, n) view ``[j, r] -> diag[r + j, j]`` of an array indexed
-    by anti-diagonal and column, which needs n + m - 1 rows and m
-    columns at least: cell (r, j) sits on diagonal r + j."""
-    step_d, step_j = diag.strides
-    return as_strided(diag, (m, n), (step_d + step_j, step_d))
-
-
-def _rows(bits: np.ndarray) -> list[list[int]]:
-    """The set positions of each row of ``bits``, ascending."""
-    return [np.flatnonzero(row).tolist() for row in bits]
 
 
 def populate(
@@ -358,60 +351,73 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # --- Pass 2: cost sweep over anti-diagonals. ---
     # Cell (r, j) depends only on diagonals r + j - 1 (its left and
     # upper neighbors) and r + j - 2 (its diagonal neighbor), so each
-    # diagonal takes one vectorized step of the scalar kernel's
-    # arithmetic (an exact three-way minimum, then one rounding add),
-    # and every cost equals the column sweep's bit for bit.  A diagonal
-    # is held by slot: slot j + 1 is column j and slot 0 is column -1,
-    # off the matrix.  The open set is skewed once: bit j + 1 of packed
-    # row d is set when column j of diagonal d = r + j is open.
+    # diagonal is one vectorized step of the scalar kernel's arithmetic
+    # (an exact three-way minimum, then one rounding add): every cost
+    # equals the column sweep's bit for bit.  A diagonal holds at most
+    # min(n, m) cells, so when m > n the sweep runs over the transpose,
+    # whose costs are the same (the minimum is symmetric in the left and
+    # upper neighbors, and (a - b)**2 == (b - a)**2).  Slot c + 1 of a
+    # swept diagonal is swept column c, and slot 0 is column -1, off the
+    # matrix.  The open set is skewed once, slots reversed for the
+    # transpose so that columns ascend along each skewed row; the masks
+    # kept are those rows shifted to each diagonal's first column
+    # (column j is bit j + 1, or row r is bit n - 1 - r).
+    wide = m > n
+    if wide:
+        size, down, across, bits = n, q.values, s.values, _bits(col_open, n).T
+        shifts = chain(range(n - 1, 0, -1), repeat(0, m))
+    else:
+        size, down, across, bits = m, s.values, q.values, _bits(col_open, n)
+        shifts = chain(repeat(1, n), range(2, m + 1))
+    flip = slice(None, None, -1 if wide else 1)  # skewed slots to swept
     diags = n + m - 1
-    skew = np.zeros((diags, m + 1), bool)
-    _unskew(skew[:, 1:], n, m)[:] = _bits(col_open, n)
+    skew = np.zeros((diags, size + 1), bool)
+    swept = skew[:, flip][:, 1:]
+    step_d, step_c = swept.strides
+    # Swept cell (u, c) sits on diagonal u + c: a strided view of swept.
+    as_strided(swept, bits.shape, (step_d + step_c, step_d))[:] = bits
     count = sum(map(int.bit_count, col_open))
-    del col_open
+    del col_open, bits, swept
     packed = np.packbits(skew, axis=1, bitorder="little")
     del skew  # freed before the cost buffer is allocated
     vals = np.empty(count)
-    # Each slot's samples: s_diag[d, j + 1] is s[d - j], 0 off the matrix.
-    pad = np.zeros(m + 1)
-    s_diag = sliding_window_view(np.concatenate([pad[:m], s.values, pad]), m + 1)[1:, ::-1]
-    q_slots = np.concatenate([pad[:1], q.values])
-    # Diagonals are swept _BLOCK at a time through rows[2:], full width.
-    # A row first takes its local costs, inf for a closed or off-matrix
-    # cell, so such a slot ends inf whatever its neighbors hold; slot 0
-    # stays inf but for the virtual cell diagonal to (1, 1), cost 0, in
-    # the row before diagonal 0.  rows[:2] carry the previous block's
-    # last two diagonals.  The rows are whole so that numpy runs each
-    # block step over one contiguous buffer.
-    rows = np.full((_BLOCK + 2, m + 1), _INF)
+    # Each slot's samples: down_diag[d, c + 1] = down[d - c] (0 off the
+    # matrix) down the swept rows, across_slots[c + 1] = across[c].
+    pad = np.zeros(size + 1)
+    down_diag = sliding_window_view(np.concatenate([pad[:size], down, pad]), size + 1)[1:, ::-1]
+    across_slots = np.concatenate([pad[:1], across])
+    # Diagonals are swept _BLOCK at a time through rows[2:], of
+    # min(n, m) + 1 slots.  A row first takes its local costs, inf for a
+    # closed or off-matrix cell, so such a slot ends inf whatever its
+    # neighbors hold; slot 0 stays inf but for the virtual cell diagonal
+    # to (1, 1), cost 0, in the row before diagonal 0.  rows[:2] carry
+    # the previous block's last two diagonals.  The rows are whole so
+    # that numpy runs each block step over one contiguous buffer.
+    rows = np.full((_BLOCK + 2, size + 1), _INF)
     rows[0, 0] = 0.0
-    # Per diagonal: its own slots, then its left, upper and diagonal
-    # neighbors' slots.
+    # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
     steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
-    best = np.empty(m)
+    best = np.empty(size)
     off = 0
     # Costs that overflow are inf, silently, as with Python floats.
     with np.errstate(over="ignore"):
         for d0 in range(0, diags, _BLOCK):
             k = min(_BLOCK, diags - d0)
             block = rows[2 : k + 2]
-            is_open = np.unpackbits(packed[d0 : d0 + k], axis=1, count=m + 1, bitorder="little")
+            is_open = np.unpackbits(packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little")
             is_open = is_open.view(bool)
-            np.copyto(block, s_diag[d0 : d0 + k])
-            block -= q_slots
+            np.copyto(block, down_diag[d0 : d0 + k])
+            block -= across_slots
             block *= block
-            np.copyto(block, _INF, where=~is_open)
+            np.copyto(block, _INF, where=~is_open[:, flip])
             for c, l, u, g in steps[:k]:
                 np.minimum(l, u, out=best)
                 np.minimum(best, g, out=best)
                 np.add(c, best, out=c)
-            costs = block[is_open]
+            costs = block[:, flip][is_open]  # columns ascending
             vals[off : off + costs.size] = costs
             off += costs.size
             rows[:2] = rows[k : k + 2]
-    # Shifted to start at each diagonal's first column: bit 1, then
-    # bit d - n + 2 from diagonal n on.
-    shifts = chain(repeat(1, n), range(2, m + 1))
     diag_open = [int.from_bytes(row.tobytes(), "little") >> k for row, k in zip(packed, shifts)]
     del packed
     diag_off = array("q", accumulate(map(int.bit_count, diag_open), initial=0))
@@ -479,14 +485,10 @@ def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
     n = sm.n
     sv = s.values.tolist()
     qv = q.values.tolist()
-    if sm.vals is None:
-        bits, acc = sm._open_bits(), repeat(None)
-    else:
-        bits, costs = sm._col_major()
-        acc = costs.tolist()
-    js, rs = np.nonzero(bits)
+    cols, rows, order = sm._cells()
+    acc = repeat(None) if order is None else sm.vals[order].tolist()
     out = []
-    for j, r, v in zip(js.tolist(), rs.tolist(), acc):
+    for j, r, v in zip(cols.tolist(), rows.tolist(), acc):
         lc = local_distance(sv[r], qv[j])
         lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
         a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")

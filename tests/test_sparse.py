@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from tswarp import (
     upper_neighbors,
     validate_path,
 )
-from tswarp.sparse import dump_lines, forward_pass, populate
+from tswarp.sparse import _sparse_dtw, dump_lines, forward_pass, populate
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -187,6 +189,25 @@ class TestSparseDtw:
             full = dtw_full(s, q)
             assert sparse.raw_cost == full.raw_cost
             assert sparse.path == full.path
+
+    @pytest.mark.parametrize("n, m", [(3, 5000), (5000, 3)])
+    def test_memory_grows_with_the_matrix_not_the_longer_side(self, n, m):
+        # A diagonal holds at most min(n, m) cells, so the sweep and the
+        # column views work over the shorter side: a whole call and its
+        # views stay within a fixed number of bytes per matrix cell,
+        # where buffers as wide as the longer side take max(n, m)**2.
+        rng = np.random.default_rng(8)
+        s = TimeSeries("s", np.cumsum(rng.normal(size=n)))
+        q = TimeSeries("q", np.cumsum(rng.normal(size=m)))
+        tracemalloc.start()
+        try:
+            _, sm = _sparse_dtw(s, q, 0.5)
+            sm.col_vals
+            sm.open_cells()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * n * m
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
