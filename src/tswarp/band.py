@@ -121,14 +121,29 @@ def _sweep(
 
 
 def _connected(n: int, m: int, width: int) -> bool:
-    """Reachability of (n,m) from (1,1) through in-band cells: the band
-    sweep over all-zero samples ends finite."""
-    cols, _ = _sweep([0.0] * n, [0.0] * m, width)
-    return cols[m][1][-1] < _INF
+    """Reachability of (n,m) from (1,1) through in-band cells.
+
+    Walks the last reachable row.  Column 1 reaches its band's bottom
+    when the band starts at row 1 or 2, else only the forced row 1.  A
+    later column is entered iff its band is non-empty and starts at most
+    one row below the last row reached before it; it then reaches its
+    band's bottom.  No band starts above the one before it, so the walk
+    needs no first row.
+    """
+    lo, last = _row_range(1, n, m, width)
+    if lo > 2:
+        last = 1
+    for j in range(2, m + 1):
+        lo, hi = _row_range(j, n, m, width)
+        if lo > min(hi, last + 1):
+            return False
+        last = hi
+    return last == n
 
 
 def min_connecting_width(n: int, m: int) -> int:
-    """Smallest band width for which (1,1) and (n,m) stay connected."""
+    """Smallest band width for which (1,1) and (n,m) stay connected,
+    by a linear scan of widths at O(m) each."""
     for w in range(0, max(n, m) + 1):
         if _connected(n, m, w):
             return w

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .core import TimeSeries, validate_path
-from .full import DENSE_CELL_BUDGET, MatrixBudgetError, dtw_full
+from .core import AlignmentResult, TimeSeries, validate_path
+from .full import DENSE_CELL_BUDGET, dtw_full
 
 __all__ = [
     "SyntheticSpec",
@@ -23,25 +24,9 @@ __all__ = [
     "pearson",
     "load_series",
     "run_benchmark",
-    "matches_optimum",
     "write_csv",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = [
-    "dataset",
-    "algorithm",
-    "params",
-    "n",
-    "m",
-    "open_cells",
-    "path_K",
-    "elapsed_ms",
-    "raw_cost",
-    "normalized_distance",
-    "optimal",
-]
-
 
 class BenchError(RuntimeError):
     """A benchmark run could not be carried out."""
@@ -66,6 +51,13 @@ class SyntheticSpec:
             raise ValueError("rho must be in [-1, 1]")
 
 
+_CELL_FORMATS = {
+    "elapsed_ms": ".3f",
+    "raw_cost": ".9g",
+    "normalized_distance": ".9g",
+}
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     """One (dataset, algorithm) measurement row."""
@@ -81,6 +73,55 @@ class BenchRecord:
     raw_cost: float
     normalized_distance: float
     optimal: str  # "yes" | "no" | "unknown"
+
+    @classmethod
+    def from_result(
+        cls,
+        dataset: str,
+        algorithm: str,
+        result: AlignmentResult,
+        n: int,
+        m: int,
+        elapsed: float,
+        optimum: float | None,
+    ) -> BenchRecord:
+        """The row of one result timed at ``elapsed`` seconds; ``optimal``
+        is whether its cost equals ``optimum`` to a relative 1e-9, and
+        ``unknown`` when that is None."""
+        if optimum is None:
+            optimal = "unknown"
+        elif abs(result.raw_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)):
+            optimal = "yes"
+        else:
+            optimal = "no"
+        params = ";".join(
+            f"{k}={v}"
+            for k, v in sorted(result.algorithm_params.items())
+            if k != "algorithm"
+        )
+        return cls(
+            dataset=dataset,
+            algorithm=algorithm,
+            params=params,
+            n=n,
+            m=m,
+            open_cells=result.computed_cells,
+            path_K=result.path.K,
+            elapsed_ms=elapsed * 1000.0,
+            raw_cost=result.raw_cost,
+            normalized_distance=result.normalized_distance,
+            optimal=optimal,
+        )
+
+    def cells(self) -> dict[str, str]:
+        """Each field as the text that the CSV and the compare table print."""
+        return {
+            k: format(v, _CELL_FORMATS.get(k, ""))
+            for k, v in asdict(self).items()
+        }
+
+
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -180,18 +221,6 @@ def load_series(path: str | Path, fmt: str = "auto") -> list[TimeSeries]:
     return out
 
 
-def _median(xs: list[float]) -> float:
-    ys = sorted(xs)
-    k = len(ys)
-    mid = k // 2
-    return ys[mid] if k % 2 else (ys[mid - 1] + ys[mid]) / 2.0
-
-
-def matches_optimum(raw_cost: float, optimum: float) -> bool:
-    """Whether a cost equals the optimal cost, to a relative 1e-9."""
-    return abs(raw_cost - optimum) <= 1e-9 * max(1.0, abs(optimum))
-
-
 def run_benchmark(
     pairs: Iterable[tuple[str, TimeSeries, TimeSeries]],
     algorithms: dict[str, Callable[[TimeSeries, TimeSeries], "object"]],
@@ -211,15 +240,11 @@ def run_benchmark(
     records: list[BenchRecord] = []
     failures: list[str] = []
     for name, s, q in pairs:
-        baseline = None
+        optimum = None
         if check_optimal and len(s) * len(q) <= DENSE_CELL_BUDGET:
-            try:
-                baseline = dtw_full(s, q).raw_cost
-            except MatrixBudgetError:
-                baseline = None
+            optimum = dtw_full(s, q).raw_cost
         for algo, fn in algorithms.items():
             try:
-                result = None
                 times = []
                 for _ in range(repeats):
                     t0 = time.perf_counter()
@@ -230,30 +255,10 @@ def run_benchmark(
                     raise BenchError(
                         f"invalid path ({verdict.violation} violation)"
                     )
-                if baseline is None:
-                    optimal = "unknown"
-                elif matches_optimum(result.raw_cost, baseline):
-                    optimal = "yes"
-                else:
-                    optimal = "no"
-                params = ";".join(
-                    f"{k}={v}"
-                    for k, v in sorted(result.algorithm_params.items())
-                    if k != "algorithm"
-                )
                 records.append(
-                    BenchRecord(
-                        dataset=name,
-                        algorithm=algo,
-                        params=params,
-                        n=len(s),
-                        m=len(q),
-                        open_cells=result.computed_cells,
-                        path_K=result.path.K,
-                        elapsed_ms=_median(times) * 1000.0,
-                        raw_cost=result.raw_cost,
-                        normalized_distance=result.normalized_distance,
-                        optimal=optimal,
+                    BenchRecord.from_result(
+                        name, algo, result, len(s), len(q),
+                        statistics.median(times), optimum,
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
@@ -270,18 +275,4 @@ def write_csv(records: list[BenchRecord], out: str | Path | TextIO) -> None:
     w = csv.writer(out)
     w.writerow(CSV_HEADER)
     for r in records:
-        w.writerow(
-            [
-                r.dataset,
-                r.algorithm,
-                r.params,
-                r.n,
-                r.m,
-                r.open_cells,
-                r.path_K,
-                f"{r.elapsed_ms:.3f}",
-                f"{r.raw_cost:.9g}",
-                f"{r.normalized_distance:.9g}",
-                r.optimal,
-            ]
-        )
+        w.writerow(r.cells().values())

@@ -10,22 +10,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from pathlib import Path
+from typing import Callable
 
-from .band import BandDisconnectedError, BandSpec, dtw_band
+from .band import BandSpec, dtw_band
 from .bench import (
+    CSV_HEADER,
+    BenchRecord,
     DataFormatError,
     SyntheticSpec,
     generate_pair,
     load_series,
-    matches_optimum,
     pearson,
     run_benchmark,
     write_csv,
 )
-from .core import AlignmentResult, CostOverflowError, TimeSeries
-from .divide import RecursionDepthError, dc_align
-from .full import MatrixBudgetError, dtw_full
+from .core import AlignmentResult, TimeSeries
+from .divide import dc_align
+from .full import dtw_full
 from .sparse import _sparse_dtw, dump_lines, sparse_dtw
 
 __all__ = ["main"]
@@ -73,17 +76,26 @@ def _result_payload(result: AlignmentResult, n: int, m: int) -> dict:
     }
 
 
-def _run_algo(algo: str, s: TimeSeries, q: TimeSeries, args) -> AlignmentResult:
+def _aligner(
+    algo: str, args, width: int | None
+) -> Callable[[TimeSeries, TimeSeries], AlignmentResult]:
+    """The library call that runs ``algo`` with the command's settings.
+
+    The band is built at call time, so a bad width fails the call, not
+    the binding.  ``bench`` has no ``--mid-mode``: dc runs at the ceil
+    midpoint there.
+    """
     if algo == "full":
-        return dtw_full(s, q)
+        return dtw_full
     if algo == "band":
-        if args.width is None:
+        if width is None:
             raise _UsageError("--width is required for algo=band")
-        return dtw_band(s, q, BandSpec(args.width))
+        return lambda s, q: dtw_band(s, q, BandSpec(width))
     if algo == "dc":
-        return dc_align(s, q, mid_mode=args.mid_mode)
+        mid_mode = getattr(args, "mid_mode", "ceil")
+        return lambda s, q: dc_align(s, q, mid_mode=mid_mode)
     if algo == "sparse":
-        return sparse_dtw(s, q, res=args.res)
+        return lambda s, q: sparse_dtw(s, q, res=args.res)
     raise _UsageError(f"unknown algorithm {algo!r}")
 
 
@@ -91,19 +103,10 @@ def _cmd_align(args) -> int:
     s = _load_one(args.series_a)
     q = _load_one(args.series_b)
     dump = args.algo == "sparse" and args.dump_sm
-    try:
-        if dump:
-            result, sm = _sparse_dtw(s, q, args.res)
-        else:
-            result = _run_algo(args.algo, s, q, args)
-    except (
-        BandDisconnectedError,
-        CostOverflowError,
-        MatrixBudgetError,
-        RecursionDepthError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
+    if dump:
+        result, sm = _sparse_dtw(s, q, args.res)
+    else:
+        result = _aligner(args.algo, args, args.width)(s, q)
     payload = _result_payload(result, len(s), len(q))
     if dump:
         payload["sm_dump"] = dump_lines(sm, s, q)
@@ -113,13 +116,7 @@ def _cmd_align(args) -> int:
 
 
 _COMPARE_COLUMNS = [
-    "algorithm",
-    "open_cells",
-    "path_K",
-    "elapsed_ms",
-    "raw_cost",
-    "normalized_distance",
-    "optimal",
+    c for c in CSV_HEADER if c not in ("dataset", "params", "n", "m")
 ]
 
 
@@ -127,62 +124,36 @@ def _cmd_compare(args) -> int:
     s = _load_one(args.series_a)
     q = _load_one(args.series_b)
     width = args.width if args.width is not None else max(len(s), len(q))
+    optimum = None
     rows = []
-    full_result = None
+    table = [_COMPARE_COLUMNS]
     for algo in ("full", "band", "dc", "sparse"):
         try:
-            if algo == "band":
-                result = dtw_band(s, q, BandSpec(width))
-            else:
-                result = _run_algo(algo, s, q, args)
+            result = _aligner(algo, args, width)(s, q)
         except Exception as exc:  # noqa: BLE001 - rendered in-row
-            rows.append({"algorithm": algo, "error": str(exc)})
+            error = {"algorithm": algo, "error": str(exc), "optimal": "unknown"}
+            rows.append(error)
+            table.append([algo] + ["-"] * 5 + [f"failed: {exc}"])
             continue
         if algo == "full":
-            full_result = result
-        rows.append(
-            {
-                "algorithm": algo,
-                "open_cells": result.computed_cells,
-                "path_K": result.path.K,
-                "elapsed_ms": round(result.elapsed * 1000.0, 3),
-                "raw_cost": result.raw_cost,
-                "normalized_distance": result.normalized_distance,
-            }
+            optimum = result.raw_cost
+        record = BenchRecord.from_result(
+            "", algo, result, len(s), len(q), result.elapsed, optimum
         )
-    for row in rows:
-        if "error" in row or full_result is None:
-            row.setdefault("optimal", "unknown")
-        else:
-            close = matches_optimum(row["raw_cost"], full_result.raw_cost)
-            row["optimal"] = "yes" if close else "no"
+        shown = {c: getattr(record, c) for c in _COMPARE_COLUMNS}
+        rows.append(shown | {"elapsed_ms": round(record.elapsed_ms, 3)})
+        cells = record.cells()
+        table.append([cells[c] for c in _COMPARE_COLUMNS])
     if args.json:
         json.dump(rows, sys.stdout, indent=2)
         print()
     else:
-        table = [_COMPARE_COLUMNS]
-        for row in rows:
-            if "error" in row:
-                cells = [row["algorithm"]] + ["-"] * 5 + [
-                    f"failed: {row['error']}"
-                ]
-            else:
-                cells = [
-                    row["algorithm"],
-                    str(row["open_cells"]),
-                    str(row["path_K"]),
-                    f"{row['elapsed_ms']:.3f}",
-                    f"{row['raw_cost']:.9g}",
-                    f"{row['normalized_distance']:.9g}",
-                    row["optimal"],
-                ]
-            table.append(cells)
         widths = [
             max(len(r[c]) for r in table) for c in range(len(_COMPARE_COLUMNS))
         ]
         for r in table:
             print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return EXIT_OK if full_result is not None else EXIT_ALGORITHM
+    return EXIT_OK if optimum is not None else EXIT_ALGORITHM
 
 
 def _cmd_gen(args) -> int:
@@ -204,46 +175,26 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lengths = args.lengths
-    rhos = args.rhos
-    seeds = args.seeds
-    algos = args.algos
-    if not lengths or not rhos or not seeds or not algos:
+    if not (args.lengths and args.rhos and args.seeds and args.algos):
         raise _UsageError("benchmark grid is empty")
     pairs = []
-    for length in lengths:
-        for rho in rhos:
-            for seed in seeds:
-                spec = SyntheticSpec(length=length, rho=rho, seed=seed)
-                s, q = generate_pair(spec)
-                pairs.append((f"L{length}-r{rho:g}-s{seed}", s, q))
+    for length, rho, seed in product(args.lengths, args.rhos, args.seeds):
+        s, q = generate_pair(SyntheticSpec(length=length, rho=rho, seed=seed))
+        pairs.append((f"L{length}-r{rho:g}-s{seed}", s, q))
     algorithms = {}
-    for algo in algos:
-        if algo == "full":
-            algorithms["full"] = lambda s, q: dtw_full(s, q)
-        elif algo == "sparse":
-            algorithms["sparse"] = (
-                lambda s, q, _r=args.res: sparse_dtw(s, q, res=_r)
-            )
-        elif algo == "dc":
-            algorithms["dc"] = lambda s, q: dc_align(s, q)
-        elif algo == "band":
-            widths = args.widths
-            if not widths:
-                raise _UsageError("--widths is required when benching band")
-            for w in widths:
-                algorithms[f"band-w{w}"] = (
-                    lambda s, q, _w=w: dtw_band(s, q, BandSpec(_w))
-                )
-        else:
-            raise _UsageError(f"unknown algorithm {algo!r}")
+    for algo in args.algos:
+        if algo != "band":
+            algorithms[algo] = _aligner(algo, args, None)
+            continue
+        if not args.widths:
+            raise _UsageError("--widths is required when benching band")
+        for w in args.widths:
+            algorithms[f"band-w{w}"] = _aligner(algo, args, w)
     records, failures = run_benchmark(pairs, algorithms, repeats=args.repeats)
     for failure in failures:
         print(f"failed: {failure}", file=sys.stderr)
     write_csv(records, args.out or sys.stdout)
-    if records:
-        return EXIT_OK
-    return EXIT_ALGORITHM
+    return EXIT_OK if records else EXIT_ALGORITHM
 
 
 def _int_list(text: str) -> list[int]:

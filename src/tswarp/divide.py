@@ -127,16 +127,15 @@ class _Run:
     s: list[float]
     q: list[float]
     mid_mode: str
-    max_depth: int
     stats: SpaceStats = field(default_factory=SpaceStats)
     splits: list[SplitPoint] = field(default_factory=list)
 
     def solve(self, s_lo: int, s_hi: int, q_lo: int, q_hi: int, depth: int) -> list[tuple[int, int]]:
         """Path for S[s_lo..s_hi] x Q[q_lo..q_hi] (0-based inclusive),
         returned in global 0-based coordinates."""
-        if depth > self.max_depth:
+        if depth > DEFAULT_MAX_DEPTH:
             raise RecursionDepthError(
-                f"recursion depth exceeded {self.max_depth}; "
+                f"recursion depth exceeded {DEFAULT_MAX_DEPTH}; "
                 f"midpoint mode {self.mid_mode!r} does not terminate on this input"
             )
         n_sub = s_hi - s_lo + 1
@@ -180,7 +179,6 @@ def dc_align(
     s: TimeSeries,
     q: TimeSeries,
     mid_mode: str = "ceil",
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> AlignmentResult:
     """Linear-space divide-and-conquer alignment.
 
@@ -192,7 +190,7 @@ def dc_align(
         raise ValueError("mid_mode must be 'ceil' or 'floor'")
     check_cost_range(s, q)
     start = time.perf_counter()
-    run = _Run(s.values.tolist(), q.values.tolist(), mid_mode, max_depth)
+    run = _Run(s.values.tolist(), q.values.tolist(), mid_mode)
     cells = run.solve(0, len(s) - 1, 0, len(q) - 1, 0)
     path = WarpingPath((i + 1, j + 1) for i, j in cells)
     raw = 0.0

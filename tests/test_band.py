@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import path_cost, random_pair
+from tswarp import band
 from tswarp import (
     BandDisconnectedError,
     BandSpec,
@@ -103,3 +104,15 @@ class TestMinConnectingWidth:
     def test_known_values(self):
         assert min_connecting_width(2, 1) == 0
         assert min_connecting_width(7, 4) >= 1
+
+    def test_walk_equals_zero_sample_sweep(self):
+        for n in range(1, 31):
+            for m in range(1, 31):
+                for w in range(max(n, m) + 1):
+                    cols, _ = band._sweep([0.0] * n, [0.0] * m, w)
+                    swept = cols[m][1][-1] < np.inf
+                    assert band._connected(n, m, w) == swept, (n, m, w)
+
+    def test_tall_pair(self):
+        # One band sweep per candidate width made this quadratic (seconds).
+        assert min_connecting_width(12000, 4) == 2998

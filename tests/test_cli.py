@@ -79,6 +79,22 @@ class TestAlign:
         assert code == 3
         assert "minimal connecting width" in capsys.readouterr().err
 
+    def test_floor_midpoint_recursion_exits_three(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0\n" * 6)
+        b.write_text("0\n" * 5)
+        code = main(["align", str(a), str(b), "--algo", "dc",
+                     "--mid-mode", "floor"])
+        assert code == 3
+        assert "recursion depth exceeded" in capsys.readouterr().err
+
+    def test_dense_budget_exits_three(self, tmp_path, capsys):
+        z = tmp_path / "z.txt"
+        z.write_text("0\n" * 4001)
+        assert main(["align", str(z), str(z)]) == 3
+        assert "dense matrix needs 16008001 cells" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["align", str(tmp_path / "no.txt"),
                      str(tmp_path / "pe.txt")]) == 2
@@ -106,6 +122,26 @@ class TestCompare:
                                                   "sparse"]
         full_row = rows[0]
         assert full_row["optimal"] == "yes"
+
+
+    def test_band_failure_is_reported_in_row(self, tmp_path, capsys):
+        main(["gen", "--len", "9", "--rho", "0.5", "--out",
+              str(tmp_path / "l")])
+        main(["gen", "--len", "4", "--rho", "0.5", "--out",
+              str(tmp_path / "s")])
+        capsys.readouterr()
+        argv = ["compare", str(tmp_path / "l.a.txt"),
+                str(tmp_path / "s.b.txt"), "--width", "0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        band = next(ln for ln in lines if ln.startswith("band"))
+        assert "failed: band width 0 disconnects" in band
+        assert main(argv + ["--json"]) == 0
+        row = json.loads(capsys.readouterr().out)[1]
+        assert list(row) == ["algorithm", "error", "optimal"]
+        assert row["algorithm"] == "band"
+        assert row["error"].startswith("band width 0 disconnects")
+        assert row["optimal"] == "unknown"
 
 
 class TestBench:

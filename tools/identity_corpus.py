@@ -18,17 +18,31 @@ on small pairs), band at seven widths (narrow ones disconnect on
 non-square pairs) and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
 public stage functions.  A record holds raw costs as float.hex, paths, cell counts,
 dc splits and SpaceStats, sparse matrix contents, or the error type and
-message.  ``compare`` names the fields in which each differing record
-differs, counts the records per set of differing fields, prints the
-largest relative difference of the ``cost`` and ``nd`` fields, and
-exits 1 when any record differs.
+message.  The ``cli`` records run ``tswarp.cli.main`` on a few corpus
+pairs written to files: ``align`` with every algorithm and
+``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
+``gen``, ``--help``, and the usage, data and algorithm errors.  Each
+holds the exit code, stdout and stderr, with ``elapsed_ms`` dropped
+(the table's elapsed cell after splitting rows on runs of two or more
+spaces), JSON objects kept as key-value lists in their order, and the
+temporary directory masked.  ``compare`` names the fields in which each
+differing record differs, counts the records per set of differing
+fields, prints the largest relative difference of the ``cost`` and
+``nd`` fields, and exits 1 when any record differs.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
+import os
+import re
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 
 def _guarded(fn):
@@ -91,11 +105,115 @@ def _pairs(tw, np):
     yield "constant", tw.TimeSeries("s", [0.0] * 5), tw.TimeSeries("q", [0.0] * 3)
 
 
+_CLI_PAIRS = ("tie3", "tie1", "tie5", "rnd5", "gen60-0.95-7", "gen90x37", "edge0.5-1",
+              "overflow", "constant")
+
+
+def _cli_output(argv, code, out, err, tmp):
+    """A CLI run's record, with timings dropped and ``tmp`` masked."""
+    out, err = out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")
+    command = argv[0] if code == 0 and "--help" not in argv else None
+    if command == "align" or command == "compare" and "--json" in argv:
+        # Objects as [key, value] lists, so the dump keeps the key order.
+        out = json.loads(out, object_pairs_hook=lambda kv: [
+            [k, v] for k, v in kv if k != "elapsed_ms"
+        ])
+    elif command == "compare":
+        out = [re.split(r" {2,}", ln) for ln in out.splitlines()]
+        for row in out:
+            del row[3]
+    elif command == "bench":
+        out = list(csv.reader(io.StringIO(out)))
+        t = out[0].index("elapsed_ms")
+        for row in out:
+            del row[t]
+    return {"code": code, "out": out, "err": err}
+
+
+def _cli(tw, np, main):
+    """Records of ``tswarp`` commands, keyed by their command line."""
+    pairs = {name: (s, q) for name, s, q in _pairs(tw, np) if name in _CLI_PAIRS}
+    pairs["constant6x5"] = tw.TimeSeries("s", [0.0] * 6), tw.TimeSeries("q", [0.0] * 5)
+    pairs["zeros4001"] = tw.TimeSeries("s", [0.0] * 4001), tw.TimeSeries("q", [0.0] * 4001)
+    long9, _ = tw.generate_pair(tw.SyntheticSpec(9, 0.5, 0))
+    _, short4 = tw.generate_pair(tw.SyntheticSpec(4, 0.5, 1))
+    pairs["gen9x4"] = long9, short4
+    runs = [
+        ["frobnicate"], [],
+        ["bench", "--lengths", "", "--rhos", "0.5"],
+        ["bench", "--lengths", "1", "--rhos", "0.5"],
+        ["bench", "--lengths", "16", "--rhos", "0.5", "--algos", "band"],
+        ["bench", "--lengths", "16", "--rhos", "0.5", "--algos", "full,quantum"],
+        ["bench", "--lengths", "20,33", "--rhos", "0.5,0.95", "--seeds", "0,1",
+         "--repeats", "1", "--algos", "full,sparse,dc,band", "--widths", "0,3"],
+        ["bench", "--lengths", "16", "--rhos", "0.9", "--repeats", "1",
+         "--algos", "band,sparse", "--widths=-1,2", "--res", "0.25"],
+        ["bench", "--lengths", "16", "--rhos", "0.9", "--repeats", "1",
+         "--algos", "sparse", "--res", "0"],
+        ["gen", "--len", "10", "--rho", "1.5", "--out", "{tmp}/g"],
+        ["gen", "--len", "30", "--rho", "0.8", "--seed", "3", "--out", "{tmp}/g"],
+        ["gen", "--len", "30", "--rho", "0.8", "--out", "{tmp}/no/g"],
+        ["align", "{tmp}/missing.txt", "{tmp}/missing.txt"],
+        ["align", "{tmp}/bad.txt", "{tmp}/bad.txt"],
+        ["align", "{constant6x5}", "--algo", "dc", "--mid-mode", "floor"],
+        ["align", "{zeros4001}"],
+        ["compare", "{gen9x4}", "--width", "0"],
+        ["compare", "{gen9x4}", "--width", "0", "--json"],
+    ]
+    runs += [[cmd, "--help"] for cmd in ("align", "compare", "gen", "bench")]
+    for name in _CLI_PAIRS:
+        pair = "{" + name + "}"
+        runs += [
+            ["align", pair, "--algo", "full"],
+            ["align", pair, "--algo", "band"],
+            ["align", pair, "--algo", "band", "--width", "-1"],
+            ["align", pair, "--algo", "band", "--width", "1"],
+            ["align", pair, "--algo", "band", "--width", "3"],
+            ["align", pair, "--algo", "dc"],
+            ["align", pair, "--algo", "dc", "--mid-mode", "floor"],
+            ["align", pair, "--algo", "sparse", "--res", "0.25"],
+            ["align", pair, "--algo", "sparse", "--dump-sm"],
+            ["align", pair, "--algo", "quantum"],
+            ["compare", pair, "--json"],
+            ["compare", pair, "--width", "2", "--mid-mode", "floor"],
+            ["compare", pair, "--res", "1.0"],
+        ]
+    os.environ["COLUMNS"] = "80"  # --help wraps to the terminal width
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/bad.txt", "w") as fh:
+            fh.write("1.0\nnot-a-number\n")
+        files = {}
+        for name, (s, q) in pairs.items():
+            for tag, series in (("a", s), ("b", q)):
+                with open(f"{tmp}/{name}.{tag}.txt", "w") as fh:
+                    fh.writelines(f"{float(v)!r}\n" for v in series.values)
+            files["{" + name + "}"] = [f"{tmp}/{name}.a.txt", f"{tmp}/{name}.b.txt"]
+        for run in runs:
+            argv = []
+            for arg in run:
+                argv += files.get(arg, [arg.replace("{tmp}", tmp)])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            record = _cli_output(run, code, out.getvalue(), err.getvalue(), tmp)
+            if run[:1] == ["gen"] and code == 0:
+                record["files"] = [
+                    Path(f"{tmp}/g.{tag}.txt").read_text() for tag in ("a", "b")
+                ]
+            records[" ".join(run)] = record
+    return records
+
+
 def dump(src: str, out_path: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
     import tswarp as tw
+    from tswarp.cli import main
     from tswarp.divide import backward_space_efficient, forward_space_efficient
     from tswarp.full import backtrack, cost_matrix
     from tswarp.sparse import forward_pass, populate, sparse_backtrack
@@ -139,6 +257,7 @@ def dump(src: str, out_path: str) -> None:
             r[f"sparse{res}"] = _guarded(lambda: _record(tw.sparse_dtw(s, q, res=res)))
             r[f"stages{res}"] = _guarded(lambda: stages(s, q, res))
         out[name] = r
+    out["cli"] = _cli(tw, np, main)
     with open(out_path, "w") as fh:
         json.dump(out, fh, sort_keys=True)
     print(f"{sum(len(r) for r in out.values())} records")
