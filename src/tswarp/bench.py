@@ -233,7 +233,8 @@ def run_benchmark(
     (dataset, algorithm) combination never aborts the rest of the
     sweep.  ``optimal`` compares the raw cost against the dense
     baseline when the pair fits the dense cell budget, else reports
-    ``unknown``.
+    ``unknown``; a pair whose baseline fails records that failure once
+    per algorithm.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -241,8 +242,12 @@ def run_benchmark(
     failures: list[str] = []
     for name, s, q in pairs:
         optimum = None
-        if check_optimal and len(s) * len(q) <= DENSE_CELL_BUDGET:
-            optimum = dtw_full(s, q).raw_cost
+        try:
+            if check_optimal and len(s) * len(q) <= DENSE_CELL_BUDGET:
+                optimum = dtw_full(s, q).raw_cost
+        except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
+            failures += [f"{name}/{algo}: {exc}" for algo in algorithms]
+            continue
         for algo, fn in algorithms.items():
             try:
                 times = []

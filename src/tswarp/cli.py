@@ -1,8 +1,8 @@
 """Command-line interface: align, compare, gen, bench.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 algorithm
-failure (band disconnection, cost overflow, sparse connectivity
-diagnostic, budget exhaustion).
+Exit codes: 0 success, 1 usage error, 2 data/parse error or an output
+file that cannot be written, 3 algorithm failure (band disconnection,
+cost overflow, sparse connectivity diagnostic, budget exhaustion).
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from itertools import product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from .band import BandSpec, dtw_band
 from .bench import (
@@ -41,6 +42,21 @@ EXIT_ALGORITHM = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    """An output file could not be written (exit 2)."""
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened for writing text; failing to open or write it
+    raises ``_WriteError`` naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,15 +177,10 @@ def _cmd_gen(args) -> int:
     s, q = generate_pair(spec)
     out = Path(args.out)
     for suffix, series in ((".a.txt", s), (".b.txt", q)):
-        target = out.parent / (out.name + suffix)
-        try:
-            with open(target, "w") as fh:
-                fh.write(f"# {series.id}\n")
-                for v in series.values:
-                    fh.write(f"{float(v)!r}\n")
-        except OSError as exc:
-            print(f"error: cannot write {target}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        with _writing(out.parent / (out.name + suffix)) as fh:
+            fh.write(f"# {series.id}\n")
+            for v in series.values:
+                fh.write(f"{float(v)!r}\n")
     print(f"achieved correlation: {pearson(s, q):.6f}")
     return EXIT_OK
 
@@ -190,10 +201,12 @@ def _cmd_bench(args) -> int:
             raise _UsageError("--widths is required when benching band")
         for w in args.widths:
             algorithms[f"band-w{w}"] = _aligner(algo, args, w)
-    records, failures = run_benchmark(pairs, algorithms, repeats=args.repeats)
-    for failure in failures:
-        print(f"failed: {failure}", file=sys.stderr)
-    write_csv(records, args.out or sys.stdout)
+    # The output is opened first, so that a bad path fails before the sweep.
+    with _writing(args.out) if args.out else nullcontext(sys.stdout) as out:
+        records, failures = run_benchmark(pairs, algorithms, repeats=args.repeats)
+        for failure in failures:
+            print(f"failed: {failure}", file=sys.stderr)
+        write_csv(records, out)
     return EXIT_OK if records else EXIT_ALGORITHM
 
 
@@ -265,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ __all__ = [
     "check_cost_range",
     "sweep_column",
     "dense_columns",
+    "sweep_diagonals",
     "backtrack_path",
 ]
 
@@ -244,6 +245,55 @@ def dense_columns(sv: Sequence[float], qv: Iterable[float]) -> Iterator[list[flo
         col = sweep_column(sv, qj, col, diag, _INF)
         diag = _INF
         yield col
+
+
+def sweep_diagonals(
+    width: int,
+    origins: Sequence[int],
+    diags: int,
+    block: int,
+    fill: Callable[[int, np.ndarray], None],
+) -> Iterator[np.ndarray]:
+    """Accumulated costs of problems laid side by side, swept one
+    anti-diagonal at a time, ``block`` diagonals per step.
+
+    A diagonal is one row of ``width`` slots.  Each problem owns a run
+    of consecutive slots: its pad slot, listed in ``origins`` and
+    standing for its column -1, then one slot per swept column, so that
+    cell (u, c) of a problem sits at slot pad + 1 + c of diagonal u + c.
+    Cell (u, c) depends only on diagonals u + c - 1 (its left and upper
+    neighbors, slots one left and the same) and u + c - 2 (its diagonal
+    neighbor, one slot left), so each diagonal is one vectorized step of
+    ``sweep_column``'s arithmetic, an exact three-way minimum and then
+    one rounding add: every cost equals the column sweep's bit for bit.
+    Each problem's virtual cell diagonal to (0, 0) costs 0, in its pad
+    slot of diagonal -2.
+
+    For each block, ``fill(d0, rows)`` writes the local costs of
+    diagonals d0 .. d0 + len(rows) - 1 into ``rows``: inf in every pad
+    slot and for every closed or off-matrix cell, so that such a slot
+    ends inf whatever its neighbors hold.  The rows are then swept in
+    place and yielded, valid until the next block.  Two more rows carry
+    the block's last two diagonals into the next.  The rows are whole
+    so that numpy runs each step over one contiguous buffer.
+    """
+    rows = np.full((block + 2, width), _INF)
+    rows[0, origins] = 0.0
+    # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
+    steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
+    best = np.empty(width - 1)
+    # Costs that overflow are inf, silently, as with Python floats.
+    with np.errstate(over="ignore"):
+        for d0 in range(0, diags, block):
+            k = min(block, diags - d0)
+            swept = rows[2 : k + 2]
+            fill(d0, swept)
+            for c, l, u, g in steps[:k]:
+                np.minimum(l, u, out=best)
+                np.minimum(best, g, out=best)
+                np.add(c, best, out=c)
+            yield swept
+            rows[:2] = rows[k : k + 2]
 
 
 def backtrack_path(

@@ -15,7 +15,10 @@ a depth guard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .core import (
     AlignmentResult,
@@ -26,6 +29,7 @@ from .core import (
     dense_columns,
     local_distance,
     normalized_distance,
+    sweep_diagonals,
 )
 
 __all__ = [
@@ -39,6 +43,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 128
+
+# Anti-diagonals swept per block of a level's batch.
+_BLOCK = 32
+
+_INF = float("inf")
 
 
 class RecursionDepthError(RuntimeError):
@@ -61,7 +70,17 @@ class DCAlignmentResult(AlignmentResult):
 
 @dataclass
 class SpaceStats:
-    """Tracks live DP cell records so the linear-space claim is testable."""
+    """Live DP cell records under the per-subproblem model, so that the
+    linear-space claim is testable.
+
+    A split node holds one half's last column (n records) while the
+    other half sweeps two rolling columns (2n); a base case holds its
+    dense n x m matrix.  Every node frees its records before its
+    children run, so the peak does not depend on the order nodes run
+    in.  The sweeps themselves run batched, a whole recursion level per
+    wavefront, in a buffer of O(block * (m + nodes)) floats that this
+    model does not count.
+    """
 
     current: int = 0
     peak: int = 0
@@ -76,33 +95,62 @@ class SpaceStats:
         self.current -= cells
 
 
-def _forward_last_column(
-    s: list[float], q: list[float], stats: SpaceStats | None
-) -> list[float]:
-    """Last column of the cumulative DTW matrix, two-column rolling storage."""
-    n = len(s)
-    if stats is not None:
-        stats.alloc(2 * n)
-        stats.computed_cells += n * len(q)
-    for col in dense_columns(s, q):
-        pass
-    if stats is not None:
-        stats.free(2 * n)
-    return col
+def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Last column D(i, m) of each (rows, columns) problem's cumulative
+    matrix, every problem swept in one ``sweep_diagonals`` batch.
+
+    Slots are the problems' columns, each run after a pad.  The samples
+    of all problems sit in one array, each problem's after an inf
+    sentinel and the last one's before another.  A slot's sample index
+    on a diagonal is clipped to the sentinels around its problem, so an
+    off-matrix cell reads inf and its local cost is inf.  The last
+    column's index is also where its cost is kept, in an array laid out
+    like the samples.
+    """
+    ns = [a.size for a, _ in problems]
+    ws = [b.size for _, b in problems]
+    sentinel = np.full(1, _INF)
+    samples = np.concatenate([x for a, _ in problems for x in (sentinel, a)] + [sentinel])
+    starts = list(accumulate([n + 1 for n in ns[:-1]], initial=1))
+    pads = list(accumulate([w + 1 for w in ws[:-1]], initial=0))
+    ends = [p + w for p, w in zip(pads, ws)]
+    sizes = [w + 1 for w in ws]
+    width = sum(sizes)
+    first = np.repeat(starts, sizes)
+    col = np.arange(width) - np.repeat(pads, sizes) - 1  # -1 at the pads
+    off = first - col
+    lo = first - 1
+    hi = first + np.repeat(ns, sizes)
+    lo[pads] = hi[pads] = 0  # a pad reads the first sentinel
+    across = np.concatenate([x for _, b in problems for x in (np.zeros(1), b)])
+    diags = max(n + w - 1 for n, w in zip(ns, ws))
+    d = np.arange(diags)[:, None]
+    idx = np.empty((_BLOCK, width), np.intp)
+
+    def fill(d0: int, rows: np.ndarray) -> None:
+        at = idx[: len(rows)]
+        np.add(d[d0 : d0 + len(rows)], off, out=at)
+        np.maximum(at, lo, out=at)
+        np.minimum(at, hi, out=at)
+        np.take(samples, at, out=rows, mode="clip")
+        rows -= across
+        rows *= rows
+
+    out = np.empty(samples.size)
+    for rows in sweep_diagonals(width, pads, diags, _BLOCK, fill):
+        out[idx[: len(rows), ends]] = rows[:, ends]
+    return [out[a : a + n] for a, n in zip(starts, ns)]
 
 
 def forward_space_efficient(s: TimeSeries, q: TimeSeries) -> list[float]:
-    """Cumulative costs D(i, m) for every row i, in O(|s|) space."""
-    return _forward_last_column(s.values.tolist(), q.values.tolist(), None)
+    """Cumulative costs D(i, m) for every row i, in O(|s| + |q|) space."""
+    return _last_columns([(s.values, q.values)])[0].tolist()
 
 
 def backward_space_efficient(s: TimeSeries, q: TimeSeries) -> list[float]:
     """Cost-to-go from each (i, 1) to (n, m): the forward sweep of the
     reversed problem, re-reversed."""
-    rev = _forward_last_column(
-        s.values.tolist()[::-1], q.values.tolist()[::-1], None
-    )
-    return rev[::-1]
+    return _last_columns([(s.values[::-1], q.values[::-1])])[0][::-1].tolist()
 
 
 def _dense_subpath(
@@ -122,57 +170,68 @@ def _dense_subpath(
     return path
 
 
-@dataclass
-class _Run:
-    s: list[float]
-    q: list[float]
-    mid_mode: str
-    stats: SpaceStats = field(default_factory=SpaceStats)
-    splits: list[SplitPoint] = field(default_factory=list)
+def _solve(
+    s: np.ndarray, q: np.ndarray, mid_mode: str, stats: SpaceStats
+) -> tuple[list[tuple[int, int]], list[SplitPoint]]:
+    """The stitched path (0-based cells) and the split points, in the
+    depth-first preorder of the recursion tree.
 
-    def solve(self, s_lo: int, s_hi: int, q_lo: int, q_hi: int, depth: int) -> list[tuple[int, int]]:
-        """Path for S[s_lo..s_hi] x Q[q_lo..q_hi] (0-based inclusive),
-        returned in global 0-based coordinates."""
+    The tree is built one level at a time.  A node is a box
+    S[s_lo..s_hi] x Q[q_lo..q_hi] (0-based inclusive).  Each split node
+    of a level adds its forward half and its reversed backward half to
+    the level's one batch of sweeps; its split row is the first minimum
+    of the two halves' last columns summed.  A box of two rows or
+    columns or fewer is a base case, solved densely.
+    """
+    sl = s.tolist()
+    ql = q.tolist()
+    nodes: list = [None]  # per node: its cells, or (split, left, right)
+    level = [(0, 0, s.size - 1, 0, q.size - 1)]  # (node, box)
+    depth = 0
+    while level:
         if depth > DEFAULT_MAX_DEPTH:
             raise RecursionDepthError(
                 f"recursion depth exceeded {DEFAULT_MAX_DEPTH}; "
-                f"midpoint mode {self.mid_mode!r} does not terminate on this input"
+                f"midpoint mode {mid_mode!r} does not terminate on this input"
             )
-        n_sub = s_hi - s_lo + 1
-        m_sub = q_hi - q_lo + 1
-        if n_sub <= 2 or m_sub <= 2:
-            sub = _dense_subpath(
-                self.s[s_lo : s_hi + 1], self.q[q_lo : q_hi + 1], self.stats
-            )
-            return [(s_lo + i - 1, q_lo + j - 1) for i, j in sub]
-        if self.mid_mode == "ceil":
-            mid_off = (m_sub + 1) // 2
+        inner = []
+        halves = []
+        for at, s_lo, s_hi, q_lo, q_hi in level:
+            n_sub = s_hi - s_lo + 1
+            m_sub = q_hi - q_lo + 1
+            if n_sub <= 2 or m_sub <= 2:
+                sub = _dense_subpath(sl[s_lo : s_hi + 1], ql[q_lo : q_hi + 1], stats)
+                nodes[at] = [(s_lo + i - 1, q_lo + j - 1) for i, j in sub]
+                continue
+            mid = q_lo + (m_sub + 1 if mid_mode == "ceil" else m_sub) // 2 - 1
+            # One half's last column is kept while the other sweeps.
+            stats.alloc(3 * n_sub)
+            stats.computed_cells += n_sub * (m_sub + 1)
+            stats.free(3 * n_sub)
+            rows = s[s_lo : s_hi + 1]
+            halves += [(rows, q[q_lo : mid + 1]), (rows[::-1], q[mid : q_hi + 1][::-1])]
+            inner.append((at, s_lo, s_hi, q_lo, q_hi, mid))
+        cols = _last_columns(halves) if halves else []
+        level = []
+        for (at, s_lo, s_hi, q_lo, q_hi, mid), f, g in zip(inner, cols[::2], cols[1::2]):
+            split_i = s_lo + int(np.argmin(f + g[::-1]))
+            left = len(nodes)
+            nodes[at] = (SplitPoint(split_i + 1, mid + 1), left, left + 1)
+            nodes += [None, None]
+            level += [(left, s_lo, split_i, q_lo, mid), (left + 1, split_i, s_hi, mid, q_hi)]
+        depth += 1
+    path: list[tuple[int, int]] = []
+    splits = []
+    stack = [0]
+    while stack:
+        node = nodes[stack.pop()]
+        if isinstance(node, list):
+            # A leaf's first cell is the split cell that ends the path so far.
+            path += node[1:] if path else node
         else:
-            mid_off = m_sub // 2
-        mid = q_lo + mid_off - 1  # 0-based global split column
-        f = _forward_last_column(
-            self.s[s_lo : s_hi + 1], self.q[q_lo : mid + 1], self.stats
-        )
-        self.stats.alloc(n_sub)
-        g_rev = _forward_last_column(
-            self.s[s_lo : s_hi + 1][::-1], self.q[mid : q_hi + 1][::-1], self.stats
-        )
-        self.stats.alloc(n_sub)
-        g = g_rev[::-1]
-        best_row = 0
-        best = f[0] + g[0]
-        for i in range(1, n_sub):
-            v = f[i] + g[i]
-            if v < best:
-                best = v
-                best_row = i
-        self.stats.free(2 * n_sub)
-        split_i = s_lo + best_row
-        self.splits.append(SplitPoint(split_i + 1, mid + 1))
-        left = self.solve(s_lo, split_i, q_lo, mid, depth + 1)
-        right = self.solve(split_i, s_hi, mid, q_hi, depth + 1)
-        # The split cell belongs to both halves; drop the duplicate.
-        return left + right[1:]
+            splits.append(node[0])
+            stack += (node[2], node[1])
+    return path, splits
 
 
 def dc_align(
@@ -190,12 +249,12 @@ def dc_align(
         raise ValueError("mid_mode must be 'ceil' or 'floor'")
     check_cost_range(s, q)
     start = time.perf_counter()
-    run = _Run(s.values.tolist(), q.values.tolist(), mid_mode)
-    cells = run.solve(0, len(s) - 1, 0, len(q) - 1, 0)
+    stats = SpaceStats()
+    cells, splits = _solve(s.values, q.values, mid_mode, stats)
     path = WarpingPath((i + 1, j + 1) for i, j in cells)
     raw = 0.0
-    sv = run.s
-    qv = run.q
+    sv = s.values.tolist()
+    qv = q.values.tolist()
     for i, j in cells:
         raw += local_distance(sv[i], qv[j])
     elapsed = time.perf_counter() - start
@@ -203,9 +262,9 @@ def dc_align(
         path=path,
         raw_cost=raw,
         normalized_distance=normalized_distance(raw, path.K),
-        computed_cells=run.stats.computed_cells,
+        computed_cells=stats.computed_cells,
         elapsed=elapsed,
         algorithm_params={"algorithm": "dc", "mid_mode": mid_mode},
-        splits=tuple(run.splits),
-        space=run.stats,
+        splits=tuple(splits),
+        space=stats,
     )

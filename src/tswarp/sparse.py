@@ -43,6 +43,7 @@ from .core import (
     local_distance,
     normalized_distance,
     quantize,
+    sweep_diagonals,
 )
 
 __all__ = [
@@ -349,19 +350,16 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     o = col_bin[-1] | carry
     col_open.append(o | (full ^ ((o & -o) - 1)))
     # --- Pass 2: cost sweep over anti-diagonals. ---
-    # Cell (r, j) depends only on diagonals r + j - 1 (its left and
-    # upper neighbors) and r + j - 2 (its diagonal neighbor), so each
-    # diagonal is one vectorized step of the scalar kernel's arithmetic
-    # (an exact three-way minimum, then one rounding add): every cost
-    # equals the column sweep's bit for bit.  A diagonal holds at most
-    # min(n, m) cells, so when m > n the sweep runs over the transpose,
-    # whose costs are the same (the minimum is symmetric in the left and
-    # upper neighbors, and (a - b)**2 == (b - a)**2).  Slot c + 1 of a
-    # swept diagonal is swept column c, and slot 0 is column -1, off the
-    # matrix.  The open set is skewed once, slots reversed for the
-    # transpose so that columns ascend along each skewed row; the masks
-    # kept are those rows shifted to each diagonal's first column
-    # (column j is bit j + 1, or row r is bit n - 1 - r).
+    # ``sweep_diagonals`` gives every cost bit for bit as the column
+    # sweep would.  A diagonal holds at most min(n, m) cells, so when
+    # m > n the sweep runs over the transpose, whose costs are the same
+    # (the minimum is symmetric in the left and upper neighbors, and
+    # (a - b)**2 == (b - a)**2).  Slot c + 1 of a swept diagonal is
+    # swept column c, and slot 0 is column -1, off the matrix.  The open
+    # set is skewed once, slots reversed for the transpose so that
+    # columns ascend along each skewed row; the masks kept are those
+    # rows shifted to each diagonal's first column (column j is bit
+    # j + 1, or row r is bit n - 1 - r).
     wide = m > n
     if wide:
         size, down, across, bits = n, q.values, s.values, _bits(col_open, n).T
@@ -386,38 +384,29 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     pad = np.zeros(size + 1)
     down_diag = sliding_window_view(np.concatenate([pad[:size], down, pad]), size + 1)[1:, ::-1]
     across_slots = np.concatenate([pad[:1], across])
-    # Diagonals are swept _BLOCK at a time through rows[2:], of
-    # min(n, m) + 1 slots.  A row first takes its local costs, inf for a
-    # closed or off-matrix cell, so such a slot ends inf whatever its
-    # neighbors hold; slot 0 stays inf but for the virtual cell diagonal
-    # to (1, 1), cost 0, in the row before diagonal 0.  rows[:2] carry
-    # the previous block's last two diagonals.  The rows are whole so
-    # that numpy runs each block step over one contiguous buffer.
-    rows = np.full((_BLOCK + 2, size + 1), _INF)
-    rows[0, 0] = 0.0
-    # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
-    steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
-    best = np.empty(size)
+    # One problem of min(n, m) + 1 slots, swept _BLOCK diagonals at a
+    # time; slot 0, the pad, is never open, so its local cost is inf.
+    # ``fill`` leaves its block's open mask for the read-back below; the
+    # mask is a variable it rebinds, so the last one is freed as the
+    # next is made and at most two are alive.
+    is_open = None
+
+    def fill(d0: int, block: np.ndarray) -> None:
+        nonlocal is_open
+        k = len(block)
+        is_open = np.unpackbits(
+            packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
+        ).view(bool)
+        np.copyto(block, down_diag[d0 : d0 + k])
+        block -= across_slots
+        block *= block
+        np.copyto(block, _INF, where=~is_open[:, flip])
+
     off = 0
-    # Costs that overflow are inf, silently, as with Python floats.
-    with np.errstate(over="ignore"):
-        for d0 in range(0, diags, _BLOCK):
-            k = min(_BLOCK, diags - d0)
-            block = rows[2 : k + 2]
-            is_open = np.unpackbits(packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little")
-            is_open = is_open.view(bool)
-            np.copyto(block, down_diag[d0 : d0 + k])
-            block -= across_slots
-            block *= block
-            np.copyto(block, _INF, where=~is_open[:, flip])
-            for c, l, u, g in steps[:k]:
-                np.minimum(l, u, out=best)
-                np.minimum(best, g, out=best)
-                np.add(c, best, out=c)
-            costs = block[:, flip][is_open]  # columns ascending
-            vals[off : off + costs.size] = costs
-            off += costs.size
-            rows[:2] = rows[k : k + 2]
+    for block in sweep_diagonals(size + 1, [0], diags, _BLOCK, fill):
+        costs = block[:, flip][is_open]  # columns ascending
+        vals[off : off + costs.size] = costs
+        off += costs.size
     diag_open = [int.from_bytes(row.tobytes(), "little") >> k for row, k in zip(packed, shifts)]
     del packed
     diag_off = array("q", accumulate(map(int.bit_count, diag_open), initial=0))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from tswarp import TimeSeries
+from tswarp import RecursionDepthError, SpaceStats, SplitPoint, TimeSeries
+from tswarp.core import backtrack_path, dense_columns
+from tswarp.divide import DEFAULT_MAX_DEPTH
 
 INF = float("inf")
 
@@ -68,3 +70,67 @@ def random_pair(
         a = rng.normal(size=n)
         b = rng.normal(size=m)
     return TimeSeries("a", a), TimeSeries("b", b)
+
+
+def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
+    """Divide-and-conquer alignment as a depth-first recursion over
+    column sweeps: the reference that ``dc_align``'s level-batched
+    wavefront must reproduce.
+
+    Returns (splits, 1-based path, raw cost, SpaceStats), or raises
+    ``RecursionDepthError`` with ``dc_align``'s message.
+    """
+    sv = s.values.tolist()
+    qv = q.values.tolist()
+    stats = SpaceStats()
+    splits = []
+
+    def last_column(a, b):
+        n = len(a)
+        stats.alloc(2 * n)
+        stats.computed_cells += n * len(b)
+        for col in dense_columns(a, b):
+            pass
+        stats.free(2 * n)
+        return col
+
+    def solve(s_lo, s_hi, q_lo, q_hi, depth):
+        if depth > DEFAULT_MAX_DEPTH:
+            raise RecursionDepthError(
+                f"recursion depth exceeded {DEFAULT_MAX_DEPTH}; "
+                f"midpoint mode {mid_mode!r} does not terminate on this input"
+            )
+        n_sub = s_hi - s_lo + 1
+        m_sub = q_hi - q_lo + 1
+        if n_sub <= 2 or m_sub <= 2:
+            stats.alloc(n_sub * m_sub)
+            stats.computed_cells += n_sub * m_sub
+            cols = list(dense_columns(sv[s_lo : s_hi + 1], qv[q_lo : q_hi + 1]))
+            sub = backtrack_path(lambda i, j: cols[j - 1][i - 1], n_sub, m_sub)
+            stats.free(n_sub * m_sub)
+            return [(s_lo + i - 1, q_lo + j - 1) for i, j in sub]
+        mid_off = (m_sub + 1) // 2 if mid_mode == "ceil" else m_sub // 2
+        mid = q_lo + mid_off - 1
+        f = last_column(sv[s_lo : s_hi + 1], qv[q_lo : mid + 1])
+        stats.alloc(n_sub)
+        g = last_column(sv[s_lo : s_hi + 1][::-1], qv[mid : q_hi + 1][::-1])[::-1]
+        stats.alloc(n_sub)
+        best_row = 0
+        best = f[0] + g[0]
+        for i in range(1, n_sub):
+            if f[i] + g[i] < best:
+                best = f[i] + g[i]
+                best_row = i
+        stats.free(2 * n_sub)
+        split_i = s_lo + best_row
+        splits.append(SplitPoint(split_i + 1, mid + 1))
+        left = solve(s_lo, split_i, q_lo, mid, depth + 1)
+        right = solve(split_i, s_hi, mid, q_hi, depth + 1)
+        return left + right[1:]
+
+    cells = solve(0, len(sv) - 1, 0, len(qv) - 1, 0)
+    raw = 0.0
+    for i, j in cells:
+        d = sv[i] - qv[j]
+        raw += d * d
+    return splits, [(i + 1, j + 1) for i, j in cells], raw, stats

@@ -160,6 +160,19 @@ class TestRunBenchmark:
         assert len(failures) == 2
         assert all("boom" in f for f in failures)
 
+    def test_baseline_failure_is_isolated(self, small_pairs):
+        overflow = ("overflow", TimeSeries("s", [1e200, -1e200, 0]),
+                    TimeSeries("q", [0, 1e200, 3]))
+        algos = {"full": dtw_full, "sparse": sparse_dtw}
+        records, failures = run_benchmark(
+            [overflow] + small_pairs, algos, repeats=1
+        )
+        assert len(records) == 4
+        assert [f.split(":")[0] for f in failures] == [
+            "overflow/full", "overflow/sparse"
+        ]
+        assert all("overflow" in f.split(":", 1)[1] for f in failures)
+
     def test_optimal_unknown_without_check(self, small_pairs):
         algos = {"full": lambda s, q: dtw_full(s, q)}
         records, _ = run_benchmark(

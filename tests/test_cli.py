@@ -185,6 +185,19 @@ class TestBench:
         assert main(["bench", "--lengths", "16", "--rhos", "0.5",
                      "--algos", "band"]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["bench", "--lengths", "8", "--rhos", "0.5", "--repeats", "1",
+         "--algos", "full", "--out"],
+        ["gen", "--len", "8", "--rho", "0.5", "--out"],
+    ])
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, command):
+        target = tmp_path / "missing-dir" / "r"
+        assert main(command + [str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert "failed:" not in captured.err
+        assert captured.out == ""
+
     def test_band_widths_sweep(self, tmp_path):
         out = tmp_path / "b.csv"
         code = main(["bench", "--lengths", "20", "--rhos", "0.9",

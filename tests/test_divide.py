@@ -1,7 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import path_cost, random_pair
+from helpers import path_cost, random_pair, reference_dc
 from tswarp import (
     DCAlignmentResult,
     RecursionDepthError,
@@ -13,6 +18,8 @@ from tswarp import (
     forward_space_efficient,
     validate_path,
 )
+from tswarp.core import dense_columns
+from tswarp.divide import _last_columns
 from tswarp.full import cost_matrix
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
@@ -40,6 +47,52 @@ class TestSpaceEfficientSweeps:
             assert backward_space_efficient(s, q) == pytest.approx(
                 rev.tolist()
             )
+
+
+samples = st.floats(min_value=-100, max_value=100, allow_nan=False) | st.sampled_from(
+    [0.0, 1.0, -1.0]
+)
+sides = st.integers(1, 40)
+problem = st.one_of(
+    st.tuples(sides, sides),
+    st.tuples(st.just(1), sides),
+    st.tuples(sides, st.just(1)),
+    st.tuples(st.integers(20, 40), st.integers(1, 4)),
+).flatmap(
+    lambda nm: st.tuples(
+        st.lists(samples, min_size=nm[0], max_size=nm[0]),
+        st.lists(samples, min_size=nm[1], max_size=nm[1]),
+    )
+)
+
+
+class TestLevelBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(problem, min_size=1, max_size=4))
+    def test_last_columns_equal_the_column_sweep_bit_for_bit(self, batch):
+        problems = [(np.array(a), np.array(b)) for a, b in batch]
+        for (a, b), got in zip(batch, _last_columns(problems)):
+            *_, want = dense_columns(a, b)
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("mid_mode", ["ceil", "floor"])
+    def test_equals_the_depth_first_recursion(self, mid_mode):
+        rng = np.random.default_rng(19)
+        for k in range(60):
+            s, q = random_pair(rng, max_len=60, min_len=1, integers=k % 2 == 0)
+            try:
+                want = reference_dc(s, q, mid_mode)
+            except RecursionDepthError as exc:
+                with pytest.raises(RecursionDepthError, match=re.escape(str(exc))):
+                    dc_align(s, q, mid_mode=mid_mode)
+                continue
+            r = dc_align(s, q, mid_mode=mid_mode)
+            splits, path, raw, stats = want
+            assert list(r.splits) == splits
+            assert list(r.path) == path
+            assert r.raw_cost == raw
+            assert r.space == stats
+            assert r.computed_cells == stats.computed_cells
 
 
 class TestDcAlign:
@@ -105,6 +158,20 @@ class TestSpaceContract:
         assert r.space is not None
         assert r.space.peak < 10 * (len(s) + len(q))
         assert r.space.current == 0  # everything freed
+
+    def test_traced_memory_grows_linearly(self):
+        def peak(n):
+            rng = np.random.default_rng(17)
+            s = TimeSeries("s", np.cumsum(rng.normal(size=n)))
+            q = TimeSeries("q", np.cumsum(rng.normal(size=n)))
+            tracemalloc.start()
+            try:
+                dc_align(s, q)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 2.2 * peak(1000)
 
     def test_computed_cells_exceed_dense_due_to_recomputation(self):
         rng = np.random.default_rng(18)

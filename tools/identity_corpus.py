@@ -21,7 +21,7 @@ dc splits and SpaceStats, sparse matrix contents, or the error type and
 message.  The ``cli`` records run ``tswarp.cli.main`` on a few corpus
 pairs written to files: ``align`` with every algorithm and
 ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
-``gen``, ``--help``, and the usage, data and algorithm errors.  Each
+``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
 holds the exit code, stdout and stderr, with ``elapsed_ms`` dropped
 (the table's elapsed cell after splitting rows on runs of two or more
 spaces), JSON objects kept as key-value lists in their order, and the
@@ -150,6 +150,8 @@ def _cli(tw, np, main):
          "--algos", "band,sparse", "--widths=-1,2", "--res", "0.25"],
         ["bench", "--lengths", "16", "--rhos", "0.9", "--repeats", "1",
          "--algos", "sparse", "--res", "0"],
+        ["bench", "--lengths", "8", "--rhos", "0.5", "--repeats", "1",
+         "--algos", "full", "--out", "{tmp}/no/r.csv"],
         ["gen", "--len", "10", "--rho", "1.5", "--out", "{tmp}/g"],
         ["gen", "--len", "30", "--rho", "0.8", "--seed", "3", "--out", "{tmp}/g"],
         ["gen", "--len", "30", "--rho", "0.8", "--out", "{tmp}/no/g"],
