@@ -112,9 +112,9 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
     sentinel = np.full(1, _INF)
     samples = np.concatenate([x for a, _ in problems for x in (sentinel, a)] + [sentinel])
     starts = list(accumulate([n + 1 for n in ns[:-1]], initial=1))
-    pads = list(accumulate([w + 1 for w in ws[:-1]], initial=0))
+    sizes = [w + 1 for w in ws]  # a pad, then the columns
+    pads = list(accumulate(sizes[:-1], initial=0))
     ends = [p + w for p, w in zip(pads, ws)]
-    sizes = [w + 1 for w in ws]
     width = sum(sizes)
     first = np.repeat(starts, sizes)
     col = np.arange(width) - np.repeat(pads, sizes) - 1  # -1 at the pads
