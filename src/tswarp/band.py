@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from .core import (
     AlignmentResult,
@@ -65,109 +66,67 @@ def _row_range(j: int, n: int, m: int, width: int) -> tuple[int, int]:
     return max(1, lo), min(n, hi)
 
 
-def _runs(j: int, n: int, m: int, width: int) -> list[tuple[int, int]]:
-    """Maximal 1-based row runs (first, last) of column j's open cells.
-
-    The band's centre line passes through (n, m), so that corner is
-    always in band; (1, 1) can fall outside on strongly non-square
-    matrices and is forced into column 1, joining the band's run when
-    adjacent to it.
-    """
-    lo, hi = _row_range(j, n, m, width)
-    runs = [(lo, hi)] if lo <= hi else []
-    if j == 1 and not lo <= 1 <= hi:
-        if runs and lo == 2:
-            runs = [(1, hi)]
-        else:
-            runs.insert(0, (1, 1))
-    return runs
-
-
 def _window(col: tuple[int, list[float]], lo: int, hi: int) -> list[float]:
-    """Costs of rows lo..hi of a stored column, inf outside its cells."""
+    """Costs of rows lo..hi of the previous stored column, inf outside
+    its cells.
+
+    On a connected band the stored rows start at most one row below lo,
+    reach row lo and end by row hi, so only the ends need padding.
+    """
     first, costs = col
     a = max(lo, first)
-    b = min(hi, first + len(costs) - 1)
-    if a > b:
-        return [_INF] * (hi - lo + 1)
-    return [_INF] * (a - lo) + costs[a - first : b - first + 1] + [_INF] * (hi - b)
-
-
-def _sweep(
-    sv: list[float], qv: list[float], width: int
-) -> tuple[list[tuple[int, list[float]]], int]:
-    """Band costs per column as (first row, costs), plus the cell count.
-
-    Column 0 holds only the virtual origin (0, 0) at cost 0.  Rows
-    between two runs of a column are stored as inf.
-    """
-    n = len(sv)
-    m = len(qv)
-    cols = [(0, [0.0])]
-    computed = 0
-    for j in range(1, m + 1):
-        prev = cols[-1]
-        qj = qv[j - 1]
-        runs = _runs(j, n, m, width)
-        first = runs[0][0] if runs else 1
-        costs: list[float] = []
-        for a, b in runs:
-            costs += [_INF] * (a - first - len(costs))
-            pv = _window(prev, a - 1, b)
-            costs += sweep_column(sv[a - 1 : b], qj, pv[1:], pv[0], _INF)
-            computed += b - a + 1
-        cols.append((first, costs))
-    return cols, computed
-
-
-def _connected(n: int, m: int, width: int) -> bool:
-    """Reachability of (n,m) from (1,1) through in-band cells.
-
-    Walks the last reachable row.  Column 1 reaches its band's bottom
-    when the band starts at row 1 or 2, else only the forced row 1.  A
-    later column is entered iff its band is non-empty and starts at most
-    one row below the last row reached before it; it then reaches its
-    band's bottom.  No band starts above the one before it, so the walk
-    needs no first row.
-    """
-    lo, last = _row_range(1, n, m, width)
-    if lo > 2:
-        last = 1
-    for j in range(2, m + 1):
-        lo, hi = _row_range(j, n, m, width)
-        if lo > min(hi, last + 1):
-            return False
-        last = hi
-    return last == n
+    tail = hi - first + 1 - len(costs)
+    return [_INF] * (a - lo) + costs[a - first :] + [_INF] * tail
 
 
 def min_connecting_width(n: int, m: int) -> int:
-    """Smallest band width for which (1,1) and (n,m) stay connected,
-    by a linear scan of widths at O(m) each."""
-    for w in range(0, max(n, m) + 1):
-        if _connected(n, m, w):
-            return w
-    return max(n, m)
+    """Smallest band width for which (1,1) and (n,m) stay connected.
+
+    A path through the band exists iff column 1's band starts by row 2
+    (a width of at least (n - 2m)/m), each column's band starts at most
+    one row below the previous column's last row, and at width 0 every
+    column holds a row.  Over all columns the middle condition is
+    2wm >= n - gcd(n, m), since the largest residue of j*n mod m is
+    m - gcd(n, m).  Width 0 leaves a column empty unless n = m or
+    m <= 2.  A single column needs only the first condition.
+    """
+    if m == 1:
+        return max(0, n - 2)
+    empty = 0 if n == m or m == 2 else 1
+    return max(empty, -(-(n - 2 * m) // m), -(-(n - gcd(n, m)) // (2 * m)))
 
 
 def dtw_band(s: TimeSeries, q: TimeSeries, band: BandSpec) -> AlignmentResult:
     """DTW restricted to the band; out-of-band cells are never opened.
 
-    The corner cells (1,1) and (n,m) are always evaluated even if the
-    centered band misses them on strongly non-square matrices, so a
-    too-narrow band fails with a typed disconnection error rather than
-    silently returning an infinite cost.  Only in-band cells are
-    stored, O(w * max(n, m)) of them.
+    A width below ``min_connecting_width`` raises a typed disconnection
+    error before any cell is computed, rather than returning an
+    infinite cost.  The corner (1,1) is forced into column 1 even where
+    the centered band misses it on strongly non-square matrices; (n,m)
+    is on the band's centre line.  Each column is one run of rows, and
+    only those cells are stored, O(w * max(n, m)) of them.
     """
     check_cost_range(s, q)
-    start = time.perf_counter()
     n = len(s)
     m = len(q)
     width = band.width
-    cols, computed = _sweep(s.values.tolist(), q.values.tolist(), width)
+    least = min_connecting_width(n, m)
+    if width < least:
+        raise BandDisconnectedError(width, least)
+    start = time.perf_counter()
+    sv = s.values.tolist()
+    qv = q.values.tolist()
+    cols = [(0, [0.0])]  # (first row, costs); column 0 is the virtual origin
+    computed = 0
+    for j in range(1, m + 1):
+        lo, hi = _row_range(j, n, m, width)
+        if j == 1:
+            # The forced (1,1) joins the band's run or is the whole column.
+            lo, hi = 1, max(1, hi)
+        prev = _window(cols[-1], lo - 1, hi)
+        cols.append((lo, sweep_column(sv[lo - 1 : hi], qv[j - 1], prev[1:], prev[0])))
+        computed += hi - lo + 1
     raw = cols[m][1][-1]
-    if raw == _INF:
-        raise BandDisconnectedError(width, min_connecting_width(n, m))
 
     def cost(i: int, j: int) -> float | None:
         first, costs = cols[j]

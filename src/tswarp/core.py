@@ -214,18 +214,19 @@ def sweep_column(
     qj: float,
     prev: Sequence[float],
     diag: float,
-    up: float,
 ) -> list[float]:
     """Accumulated costs of one column over a run of consecutive rows.
 
     ``sv`` holds the run's samples, ``prev`` the previous column's costs
-    on the same rows, ``diag`` the previous column's cost one row above
-    the run and ``up`` this column's cost one row above it (inf where a
-    cell is closed or outside the matrix).  The virtual cell diagonal to
-    (1, 1) costs 0, so the first column needs no special case: pass
-    ``diag=0.0`` for the run starting at row 1 of column 1.
+    on the same rows and ``diag`` the previous column's cost one row
+    above the run (inf where a cell is closed or outside the matrix).
+    The run starts below a closed cell or the matrix's top.  The
+    virtual cell diagonal to (1, 1) costs 0, so the first column needs
+    no special case: pass ``diag=0.0`` for the run starting at row 1 of
+    column 1.
     """
     out = [0.0] * len(sv)
+    up = _INF
     for i in range(len(sv)):
         left = prev[i]
         best = diag if diag < left else left
@@ -242,7 +243,7 @@ def dense_columns(sv: Sequence[float], qv: Iterable[float]) -> Iterator[list[flo
     col = [_INF] * len(sv)
     diag = 0.0
     for qj in qv:
-        col = sweep_column(sv, qj, col, diag, _INF)
+        col = sweep_column(sv, qj, col, diag)
         diag = _INF
         yield col
 

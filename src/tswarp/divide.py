@@ -8,8 +8,8 @@ failure mode is part of what this module exists to demonstrate, so it
 is reproduced faithfully rather than repaired.
 
 The ceil midpoint is the default.  The floor midpoint variant recurses
-forever on some inputs; it is available behind a flag and is stopped by
-a depth guard.
+forever on some inputs; it is available behind a flag and raises at the
+split that repeats its box.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "dc_align",
 ]
 
-DEFAULT_MAX_DEPTH = 128
-
 # Anti-diagonals swept per block of a level's batch.
 _BLOCK = 32
 
@@ -51,7 +49,8 @@ _INF = float("inf")
 
 
 class RecursionDepthError(RuntimeError):
-    """The recursion guard tripped (floor-midpoint pathology)."""
+    """The recursion does not terminate: a split's right half is its
+    whole box (the floor-midpoint pathology on three-column boxes)."""
 
 
 @dataclass(frozen=True)
@@ -181,19 +180,16 @@ def _solve(
     of a level adds its forward half and its reversed backward half to
     the level's one batch of sweeps; its split row is the first minimum
     of the two halves' last columns summed.  A box of two rows or
-    columns or fewer is a base case, solved densely.
+    columns or fewer is a base case, solved densely.  Every child box is
+    strictly smaller than its parent, so the tree ends within n + m
+    levels, except where the split row is the box's first and the
+    middle column its first: there the right half is the box itself.
     """
     sl = s.tolist()
     ql = q.tolist()
     nodes: list = [None]  # per node: its cells, or (split, left, right)
     level = [(0, 0, s.size - 1, 0, q.size - 1)]  # (node, box)
-    depth = 0
     while level:
-        if depth > DEFAULT_MAX_DEPTH:
-            raise RecursionDepthError(
-                f"recursion depth exceeded {DEFAULT_MAX_DEPTH}; "
-                f"midpoint mode {mid_mode!r} does not terminate on this input"
-            )
         inner = []
         halves = []
         for at, s_lo, s_hi, q_lo, q_hi in level:
@@ -215,11 +211,15 @@ def _solve(
         level = []
         for (at, s_lo, s_hi, q_lo, q_hi, mid), f, g in zip(inner, cols[::2], cols[1::2]):
             split_i = s_lo + int(np.argmin(f + g[::-1]))
+            if split_i == s_lo and mid == q_lo:
+                raise RecursionDepthError(
+                    f"midpoint mode {mid_mode!r} does not terminate on this input: "
+                    "a box splits into itself"
+                )
             left = len(nodes)
             nodes[at] = (SplitPoint(split_i + 1, mid + 1), left, left + 1)
             nodes += [None, None]
             level += [(left, s_lo, split_i, q_lo, mid), (left + 1, split_i, s_hi, mid, q_hi)]
-        depth += 1
     path: list[tuple[int, int]] = []
     splits = []
     stack = [0]

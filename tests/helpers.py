@@ -6,7 +6,6 @@ import numpy as np
 
 from tswarp import RecursionDepthError, SpaceStats, SplitPoint, TimeSeries
 from tswarp.core import backtrack_path, dense_columns
-from tswarp.divide import DEFAULT_MAX_DEPTH
 
 INF = float("inf")
 
@@ -54,6 +53,24 @@ def path_cost(path, s: TimeSeries, q: TimeSeries) -> float:
     return total
 
 
+def band_reaches(n: int, m: int, width: int) -> bool:
+    """Whether a warping path joins (1,1) to (n,m) through band cells.
+
+    A boolean DP over the whole n x m matrix: a cell is in the band iff
+    |i*m - j*n| <= width*m, and (1,1) is always open.
+    """
+    above = [False] * (m + 1)
+    for i in range(1, n + 1):
+        row = [False] * (m + 1)
+        for j in range(1, m + 1):
+            if i == j == 1:
+                row[j] = True
+            elif abs(i * m - j * n) <= width * m:
+                row[j] = row[j - 1] or above[j - 1] or above[j]
+        above = row
+    return above[m]
+
+
 def random_pair(
     rng: np.random.Generator,
     max_len: int = 8,
@@ -94,12 +111,7 @@ def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
         stats.free(2 * n)
         return col
 
-    def solve(s_lo, s_hi, q_lo, q_hi, depth):
-        if depth > DEFAULT_MAX_DEPTH:
-            raise RecursionDepthError(
-                f"recursion depth exceeded {DEFAULT_MAX_DEPTH}; "
-                f"midpoint mode {mid_mode!r} does not terminate on this input"
-            )
+    def solve(s_lo, s_hi, q_lo, q_hi):
         n_sub = s_hi - s_lo + 1
         m_sub = q_hi - q_lo + 1
         if n_sub <= 2 or m_sub <= 2:
@@ -123,12 +135,17 @@ def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
                 best_row = i
         stats.free(2 * n_sub)
         split_i = s_lo + best_row
+        if split_i == s_lo and mid == q_lo:  # the right half is this box
+            raise RecursionDepthError(
+                f"midpoint mode {mid_mode!r} does not terminate on this input: "
+                "a box splits into itself"
+            )
         splits.append(SplitPoint(split_i + 1, mid + 1))
-        left = solve(s_lo, split_i, q_lo, mid, depth + 1)
-        right = solve(split_i, s_hi, mid, q_hi, depth + 1)
+        left = solve(s_lo, split_i, q_lo, mid)
+        right = solve(split_i, s_hi, mid, q_hi)
         return left + right[1:]
 
-    cells = solve(0, len(sv) - 1, 0, len(qv) - 1, 0)
+    cells = solve(0, len(sv) - 1, 0, len(qv) - 1)
     raw = 0.0
     for i, j in cells:
         d = sv[i] - qv[j]

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import path_cost
 from tswarp import (
+    BandDisconnectedError,
     BandSpec,
     CostOverflowError,
     TimeSeries,
     dc_align,
     dtw_band,
     dtw_full,
+    min_connecting_width,
     sparse_dtw,
+    validate_path,
 )
 from tswarp.cli import main
 
@@ -36,6 +40,49 @@ def test_exact_configurations_reproduce_full_bit_for_bit(a, b):
     for r in exact:
         assert r.raw_cost == full.raw_cost
         assert list(r.path) == list(full.path)
+
+
+samples = st.floats(-100, 100, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0])
+side = st.integers(1, 30)
+shapes = st.one_of(
+    st.tuples(side, side),
+    st.tuples(st.just(1), side),
+    st.tuples(side, st.just(1)),
+    st.tuples(st.integers(15, 30), st.integers(1, 3)),
+    st.tuples(st.integers(1, 3), st.integers(15, 30)),
+)
+
+
+def _series(n, values):
+    return st.one_of(
+        st.lists(values, min_size=n, max_size=n),
+        values.map(lambda v: [v] * n),  # constant
+    )
+
+
+pairs = shapes.flatmap(lambda nm: st.tuples(_series(nm[0], samples), _series(nm[1], samples)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_every_aligner_returns_a_valid_path_no_cheaper_than_full(pair, res):
+    s = TimeSeries("s", pair[0])
+    q = TimeSeries("q", pair[1])
+    n, m = len(s), len(q)
+    full = dtw_full(s, q)
+    results = [full, dc_align(s, q), sparse_dtw(s, q, res=res)]
+    least = min_connecting_width(n, m)
+    for w in range(max(n, m) + 1):
+        try:
+            results.append(dtw_band(s, q, BandSpec(w)))
+        except BandDisconnectedError:
+            assert w < least
+        else:
+            assert w >= least
+    for r in results:
+        assert validate_path(r.path, n, m)
+        assert r.raw_cost == path_cost(r.path, s, q)
+        assert r.raw_cost >= full.raw_cost
 
 
 OVERFLOW_S = [1e200, -1e200, 0.0]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import path_cost, random_pair
-from tswarp import band
+from helpers import band_reaches, path_cost, random_pair
 from tswarp import (
     BandDisconnectedError,
     BandSpec,
@@ -105,13 +104,29 @@ class TestMinConnectingWidth:
         assert min_connecting_width(2, 1) == 0
         assert min_connecting_width(7, 4) >= 1
 
-    def test_walk_equals_zero_sample_sweep(self):
-        for n in range(1, 31):
-            for m in range(1, 31):
+    def test_sweep_oracle_and_closed_form_agree(self):
+        for n in range(1, 25):
+            s = TimeSeries("s", np.zeros(n))
+            for m in range(1, 25):
+                q = TimeSeries("q", np.zeros(m))
+                least = min_connecting_width(n, m)
                 for w in range(max(n, m) + 1):
-                    cols, _ = band._sweep([0.0] * n, [0.0] * m, w)
-                    swept = cols[m][1][-1] < np.inf
-                    assert band._connected(n, m, w) == swept, (n, m, w)
+                    try:
+                        dtw_band(s, q, BandSpec(w))
+                        swept = True
+                    except BandDisconnectedError:
+                        swept = False
+                    assert swept == band_reaches(n, m, w) == (w >= least), (n, m, w)
+
+    def test_closed_form_is_the_oracle_least_width(self):
+        rng = np.random.default_rng(23)
+        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 400))) for _ in range(50)]
+        shapes += [(int(rng.integers(1, 200)), int(rng.integers(1, 200))) for _ in range(150)]
+        for a, b in shapes:
+            for n, m in ((a, b), (b, a)):
+                least = min_connecting_width(n, m)
+                assert band_reaches(n, m, least), (n, m)
+                assert least == 0 or not band_reaches(n, m, least - 1), (n, m)
 
     def test_tall_pair(self):
         # One band sweep per candidate width made this quadratic (seconds).

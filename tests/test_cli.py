@@ -87,7 +87,7 @@ class TestAlign:
         code = main(["align", str(a), str(b), "--algo", "dc",
                      "--mid-mode", "floor"])
         assert code == 3
-        assert "recursion depth exceeded" in capsys.readouterr().err
+        assert "does not terminate" in capsys.readouterr().err
 
     def test_dense_budget_exits_three(self, tmp_path, capsys):
         z = tmp_path / "z.txt"

@@ -18,6 +18,7 @@ from tswarp import (
     forward_space_efficient,
     validate_path,
 )
+from tswarp import divide
 from tswarp.core import dense_columns
 from tswarp.divide import _last_columns
 from tswarp.full import cost_matrix
@@ -140,6 +141,20 @@ class TestFloorMidpointPathology:
         q = TimeSeries("q", [0.0] * 3)
         with pytest.raises(RecursionDepthError, match="floor"):
             dc_align(s, q, mid_mode="floor")
+
+    def test_floor_mode_raises_at_the_repeating_split(self, monkeypatch):
+        # The box first repeats at level 9, in the tenth batch.
+        batches = []
+
+        def counting(problems):
+            batches.append(len(problems))
+            return _last_columns(problems)
+
+        monkeypatch.setattr(divide, "_last_columns", counting)
+        z = TimeSeries("z", np.zeros(400))
+        with pytest.raises(RecursionDepthError, match="does not terminate"):
+            dc_align(z, z, mid_mode="floor")
+        assert len(batches) <= 12
 
     def test_ceil_mode_terminates_on_same_pair(self):
         s = TimeSeries("s", [0.0] * 5)

@@ -15,7 +15,8 @@ strongly non-square generated pairs, eight pairs whose samples all sit
 on the bin bounds of one of the four resolutions, an overflowing pair
 and a constant pair.  Each pair runs through full, dc (ceil, and floor
 on small pairs), band at seven widths (narrow ones disconnect on
-non-square pairs) and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
+non-square pairs), band at the least connecting width and one below it
+(when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
 public stage functions.  A record holds raw costs as float.hex, paths, cell counts,
 dc splits and SpaceStats, sparse matrix contents, or the error type and
 message.  The ``cli`` records run ``tswarp.cli.main`` on a few corpus
@@ -255,6 +256,10 @@ def dump(src: str, out_path: str) -> None:
             r["dc-floor"] = _guarded(lambda: _record(tw.dc_align(s, q, mid_mode="floor")))
         for w in sorted({0, 1, 2, 5, 10, 25, max(n, m)}):
             r[f"band{w}"] = _guarded(lambda: _record(tw.dtw_band(s, q, tw.BandSpec(w))))
+        least = tw.min_connecting_width(n, m)
+        for w in range(max(least - 1, 0), least + 1):
+            band = lambda: _record(tw.dtw_band(s, q, tw.BandSpec(w)))
+            r[f"band-least{w - least:+d}"] = _guarded(band)
         for res in (0.1, 0.25, 0.5, 1.0):
             r[f"sparse{res}"] = _guarded(lambda: _record(tw.sparse_dtw(s, q, res=res)))
             r[f"stages{res}"] = _guarded(lambda: stages(s, q, res))
