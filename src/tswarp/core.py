@@ -31,6 +31,7 @@ __all__ = [
     "dense_columns",
     "sweep_diagonals",
     "backtrack_path",
+    "step_codes",
 ]
 
 _INF = float("inf")
@@ -274,9 +275,9 @@ def sweep_diagonals(
     diagonals d0 .. d0 + len(rows) - 1 into ``rows``: inf in every pad
     slot and for every closed or off-matrix cell, so that such a slot
     ends inf whatever its neighbors hold.  The rows are then swept in
-    place and yielded, valid until the next block.  Two more rows carry
-    the block's last two diagonals into the next.  The rows are whole
-    so that numpy runs each step over one contiguous buffer.
+    place and yielded after their two carry rows, diagonals d0 - 2 and
+    d0 - 1, valid until the next block.  The rows are whole so that
+    numpy runs each step over one contiguous buffer.
     """
     rows = np.full((block + 2, width), _INF)
     rows[0, origins] = 0.0
@@ -293,7 +294,7 @@ def sweep_diagonals(
                 np.minimum(l, u, out=best)
                 np.minimum(best, g, out=best)
                 np.add(c, best, out=c)
-            yield swept
+            yield rows[: k + 2]
             rows[:2] = rows[k : k + 2]
 
 
@@ -329,3 +330,41 @@ def backtrack_path(
         path.append(step)
     path.reverse()
     return path
+
+
+def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
+    """``backtrack_path``'s hop from every cell of a swept block, as a
+    code: 0 for the diagonal, 1 for the vertical and 2 for the
+    horizontal lower neighbor.
+
+    ``rows`` is a block of accumulated costs as ``sweep_diagonals``
+    yields it, its two carry rows first; the result holds the code of
+    slot p of ``rows[r + 2]`` at ``[r, p]``, and means nothing in pad
+    slots.  A cell's diagonal neighbor is one slot left two rows up, its
+    left and upper neighbors one slot left and the same slot one row up.
+    Swept rows are the matrix's rows, so the upper neighbor is the
+    vertical one, unless the sweep runs over the transpose
+    (``transposed``), whose rows are the matrix's columns.  Closed and
+    off-matrix neighbors hold inf, where ``backtrack_path`` sees None;
+    the codes agree wherever some lower neighbor is finite, which holds
+    for every cell of a path back from a finite cost.
+    """
+    k = len(rows) - 2
+    width = rows.shape[1]
+    # In the flat rows a cell's neighbors sit 2 * width + 1, width + 1
+    # and width places before it, so each is one contiguous slice.
+    flat = rows.reshape(-1)
+    size = k * width - 1
+    diag = flat[:size]
+    left = flat[width : width + size]
+    up = flat[width + 1 : width + 1 + size]
+    vert, horz = (left, up) if transposed else (up, left)
+    out = np.empty(k * width, np.uint8)
+    # Diagonal first, then vertical, then horizontal, each by strict <.
+    # The horizontal winners are merged as 2 by a maximum, not a masked
+    # store, which branches per cell and is slower on irregular masks.
+    np.less(vert, diag, out=out[1:].view(bool))
+    horz_wins = (horz < np.minimum(diag, vert)).view(np.uint8)
+    horz_wins += horz_wins
+    np.maximum(out[1:], horz_wins, out=out[1:])
+    return out.reshape(k, width)

@@ -137,7 +137,7 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
 
     out = np.empty(samples.size)
     for rows in sweep_diagonals(width, pads, diags, _BLOCK, fill):
-        out[idx[: len(rows), ends]] = rows[:, ends]
+        out[idx[: len(rows) - 2, ends]] = rows[2:, ends]
     return [out[a : a + n] for a, n in zip(starts, ns)]
 
 

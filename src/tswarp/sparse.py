@@ -4,8 +4,9 @@ Both series are rescaled onto [0, 1] and bucketed into overlapping
 bins; a matrix cell (i, j) is opened when the two quantized samples
 share a bin.  A forward pass accumulates costs over the open cells in
 column-major linear order, opening the upper neighbors of any cell
-that would otherwise dead-end, and a sparse backtrack recovers the
-warping path.
+that would otherwise dead-end and recording which lower neighbor each
+cell's cost came from, and a sparse backtrack follows those records
+back to (1, 1).
 
 The accumulated cost at (n, m) is the cost of the best path through
 OPEN cells.  It equals the true optimum at res = 1 only; below that it
@@ -13,11 +14,13 @@ often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
 Open cells are stored per anti-diagonal (see ``SparseMatrix``): one
-bitmask of open cells per diagonal (a Python int) and one flat float64
-buffer of accumulated costs in diagonal-major order, 8 bytes per open
-cell plus about a bit per matrix cell, where a dense matrix takes 8
-bytes per cell.  The unblocking pass works on whole columns of bits at
-a time and the cost sweep on whole anti-diagonals of the shorter side.
+bitmask of open cells per diagonal (a Python int) and one flat uint8
+buffer of step codes in diagonal-major order, 1 byte per open cell
+plus about a bit per matrix cell, where a dense matrix takes 8 bytes
+per cell.  The accumulated costs are computed again, by the same
+sweep, only when a caller asks for them.  The unblocking pass works on
+whole columns of bits at a time and the cost sweep on whole
+anti-diagonals of the shorter side.
 The public contract speaks in 1-based column-major linear indices:
 index(i, j) = (j - 1) * n + i.
 """
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise, repeat
+from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import (
     AlignmentResult,
@@ -38,11 +41,11 @@ from .core import (
     QuantizedSeries,
     TimeSeries,
     WarpingPath,
-    backtrack_path,
     check_cost_range,
     local_distance,
     normalized_distance,
     quantize,
+    step_codes,
     sweep_diagonals,
 )
 
@@ -64,9 +67,6 @@ __all__ = [
 _INF = float("inf")
 
 DEFAULT_RES = 0.5
-
-# Anti-diagonals swept per block of the cost sweep.
-_BLOCK = 8
 
 
 class SparseConnectivityError(RuntimeError):
@@ -152,24 +152,30 @@ class SparseMatrix:
       and column j, d from 0 to n + m - 2): ``diag_open``, whose bit k
       is set when the diagonal's cell in column ``max(0, d - n + 1) + k``
       (its first column plus k) is open; ``diag_off``, n + m offsets
-      into ``vals``; and ``vals``, one flat float64 buffer of every open
-      cell's accumulated cost, diagonal-major with columns ascending.
-      Diagonal d's costs are ``vals[diag_off[d]:diag_off[d + 1]]``, and
-      the cost of its open bit k sits at ``diag_off[d + 1]`` less the
-      popcount of ``mask >> k``, so a query touches only the diagonal's
-      bits from k on.  That is 8 bytes per open cell plus, per
+      into ``steps``; ``steps``, one uint8 per open cell,
+      diagonal-major with columns ascending, naming the lower neighbor
+      that ``backtrack_path`` takes from the cell (0 diagonal, 1
+      vertical, 2 horizontal); and ``cost``, the accumulated cost at
+      (n, m).  Diagonal d's codes are ``steps[diag_off[d]:diag_off[d +
+      1]]``, and the code of its open bit k sits at ``diag_off[d + 1]``
+      less the popcount of ``mask >> k``, so a query touches only the
+      diagonal's bits from k on.  That is 1 byte per open cell plus, per
       diagonal, a mask of at most min(n, m) bits, an 8-byte offset and
-      about 35 bytes of Python int and list overhead.  The forward
-      pass's skew of the open set, (n + m - 1) x (min(n, m) + 1) bools,
-      is freed before ``vals`` is allocated.  A whole ``sparse_dtw``
-      call peaked (tracemalloc) at 9.8 bytes per open cell at L = 2000,
-      rho 0.9, res 0.1 (32% of cells open), and 8.7 at res 0.5 (72%).
+      about 35 bytes of Python int and list overhead.  A whole
+      ``sparse_dtw`` call peaks at the forward pass's skew of the open
+      set, (n + m - 1) x (min(n, m) + 1) bools, and the min(n, m) x
+      max(n, m) bools it is copied from: 4.5 bytes per open cell
+      (tracemalloc) at L = 1000, rho 0.95, res 0.5 (66% of cells open),
+      and 3.6 at L = 3000 (83%).
 
-    ``col_rows`` (bin-opened rows), ``col_open_rows`` (final open rows)
-    and ``col_vals`` (each column's costs, rows ascending) are read-only
-    column-major views, derived with numpy on each access from about 32
-    transient bytes per open cell; the last two are None before the
-    forward pass.
+    The accumulated costs are not kept by the forward pass.
+    ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
+    sweep on first use and cache its costs (8 bytes per open cell), in
+    the layout of ``steps``.  ``col_rows`` (bin-opened rows),
+    ``col_open_rows`` (final open rows) and ``col_vals`` (each column's
+    costs, rows ascending) are read-only column-major views, derived
+    with numpy on each access from about 32 transient bytes per open
+    cell; the last two are None before the forward pass.
     """
 
     n: int
@@ -177,15 +183,19 @@ class SparseMatrix:
     col_bin: list[int]
     diag_open: list[int] | None = None
     diag_off: array | None = None
-    vals: np.ndarray | None = None
+    steps: np.ndarray | None = None
+    cost: float | None = None
     unblocked: int = 0
+    # The forward pass's samples, for the cost sweep's re-run, and its costs.
+    _samples: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _vals: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The open cells in column-major order: their columns, their
         rows (0-based) and, once the forward pass has run, the index of
-        each one's cost in ``vals`` (None before)."""
+        each one's entry in ``steps`` (None before)."""
         n = self.n
-        if self.vals is None:
+        if self.steps is None:
             cols, rows = np.nonzero(_bits(self.col_bin, n))
             return cols, rows, None
         # Bit k of diagonal d, flat index d * w + k, is column k plus the
@@ -207,6 +217,14 @@ class SparseMatrix:
         ends = accumulate(np.bincount(cols, minlength=self.m).tolist(), initial=0)
         return [values[a:b] for a, b in pairwise(ends)]
 
+    def _costs(self) -> np.ndarray:
+        """Every open cell's accumulated cost, laid out like ``steps``:
+        the cost sweep run again, once."""
+        if self._vals is None:
+            packed = _packed(self.diag_open, self.n, self.m)
+            self._vals = _sweep(self.n, self.m, self._samples, packed, self.diag_off[-1], False)[0]
+        return self._vals
+
     @property
     def col_rows(self) -> list[list[int]]:
         """Bin-opened rows (0-based, ascending) per column."""
@@ -216,7 +234,7 @@ class SparseMatrix:
     @property
     def col_open_rows(self) -> list[list[int]] | None:
         """Final open rows per column; None before the forward pass."""
-        if self.vals is None:
+        if self.steps is None:
             return None
         cols, rows, _ = self._cells()
         return self._per_col(cols, rows.tolist())
@@ -225,22 +243,23 @@ class SparseMatrix:
     def col_vals(self) -> list[np.ndarray] | None:
         """Accumulated costs per column, rows ascending; None before
         the forward pass."""
-        if self.vals is None:
+        if self.steps is None:
             return None
         cols, _, order = self._cells()
-        return self._per_col(cols, self.vals[order])
+        return self._per_col(cols, self._costs()[order])
 
     @property
     def open_count(self) -> int:
-        if self.vals is not None:
+        if self.steps is not None:
             return self.diag_off[-1]
         return sum(map(int.bit_count, self.col_bin))
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        if self.vals is None:
+        if self.steps is None:
             return bool(self.col_bin[j - 1] >> (i - 1) & 1)
-        return self.accumulated(i, j) is not None
+        # The cell's bit: its column less its diagonal's first column.
+        return bool(self.diag_open[i + j - 2] >> min(self.n - i, j - 1) & 1)
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
@@ -249,17 +268,14 @@ class SparseMatrix:
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
-        if self.vals is None:
+        if self.steps is None:
             raise RuntimeError("forward pass has not run yet")
         d = i + j - 2
-        # The cell's bit: its column less the diagonal's first column.
-        k = self.n - i
-        if k > j - 1:
-            k = j - 1
-        above = self.diag_open[d] >> k  # the cell and the open cells after it
+        # The cell and the open cells after it on its diagonal.
+        above = self.diag_open[d] >> min(self.n - i, j - 1)
         if not above & 1:
             return None
-        return self.vals.item(self.diag_off[d + 1] - above.bit_count())
+        return self._costs().item(self.diag_off[d + 1] - above.bit_count())
 
 
 def _bits(masks: list[int], width: int) -> np.ndarray:
@@ -315,7 +331,9 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     path can never begin in mid-matrix).  After a cell is accumulated,
     if none of its in-range upper neighbors is open they are all
     opened, keeping the matrix connected through to (n, m); cells
-    opened this way are visited later in the same sweep.
+    opened this way are visited later in the same sweep.  The matrix
+    keeps, per open cell, the step code of the lower neighbor that its
+    cost came from, and the cost at (n, m); the other costs are dropped.
     """
     n = sm.n
     m = sm.m
@@ -357,69 +375,116 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # (a - b)**2 == (b - a)**2).  Slot c + 1 of a swept diagonal is
     # swept column c, and slot 0 is column -1, off the matrix.  The open
     # set is skewed once, slots reversed for the transpose so that
-    # columns ascend along each skewed row; the masks kept are those
-    # rows shifted to each diagonal's first column (column j is bit
-    # j + 1, or row r is bit n - 1 - r).
+    # columns ascend along each skewed row: swept cell (u, c) sits on
+    # diagonal u + c, in skewed column c + 1, or size - 1 - c on the
+    # transpose.  The masks kept are those rows shifted to each
+    # diagonal's first column.
     wide = m > n
+    size = min(n, m)
+    bits = _bits(col_open, n)  # bits[c, u], swept column c and row u
     if wide:
-        size, down, across, bits = n, q.values, s.values, _bits(col_open, n).T
-        shifts = chain(range(n - 1, 0, -1), repeat(0, m))
-    else:
-        size, down, across, bits = m, s.values, q.values, _bits(col_open, n)
-        shifts = chain(repeat(1, n), range(2, m + 1))
-    flip = slice(None, None, -1 if wide else 1)  # skewed slots to swept
-    diags = n + m - 1
-    skew = np.zeros((diags, size + 1), bool)
-    swept = skew[:, flip][:, 1:]
-    step_d, step_c = swept.strides
-    # Swept cell (u, c) sits on diagonal u + c: a strided view of swept.
-    as_strided(swept, bits.shape, (step_d + step_c, step_d))[:] = bits
-    count = sum(map(int.bit_count, col_open))
-    del col_open, bits, swept
+        bits = bits.T
+    del col_open
+    skew = np.zeros((n + m - 1, size + 1), bool)
+    first, step = (size - 1, -1) if wide else (1, 1)
+    np.ndarray(bits.shape, bool, skew, first, (size + 1 + step, size + 1))[:] = bits
+    del bits
     packed = np.packbits(skew, axis=1, bitorder="little")
-    del skew  # freed before the cost buffer is allocated
-    vals = np.empty(count)
-    # Each slot's samples: down_diag[d, c + 1] = down[d - c] (0 off the
-    # matrix) down the swept rows, across_slots[c + 1] = across[c].
-    pad = np.zeros(size + 1)
-    down_diag = sliding_window_view(np.concatenate([pad[:size], down, pad]), size + 1)[1:, ::-1]
-    across_slots = np.concatenate([pad[:1], across])
-    # One problem of min(n, m) + 1 slots, swept _BLOCK diagonals at a
-    # time; slot 0, the pad, is never open, so its local cost is inf.
-    # ``fill`` leaves its block's open mask for the read-back below; the
-    # mask is a variable it rebinds, so the last one is freed as the
-    # next is made and at most two are alive.
-    is_open = None
-
-    def fill(d0: int, block: np.ndarray) -> None:
-        nonlocal is_open
-        k = len(block)
-        is_open = np.unpackbits(
-            packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
-        ).view(bool)
-        np.copyto(block, down_diag[d0 : d0 + k])
-        block -= across_slots
-        block *= block
-        np.copyto(block, _INF, where=~is_open[:, flip])
-
-    off = 0
-    for block in sweep_diagonals(size + 1, [0], diags, _BLOCK, fill):
-        costs = block[:, flip][is_open]  # columns ascending
-        vals[off : off + costs.size] = costs
-        off += costs.size
-    diag_open = [int.from_bytes(row.tobytes(), "little") >> k for row, k in zip(packed, shifts)]
-    del packed
+    del skew  # freed before the step codes are allocated
+    nbytes = packed.shape[1]
+    buf = packed.tobytes()
+    diag_open = [
+        int.from_bytes(buf[x : x + nbytes], "little") >> k
+        for x, k in zip(range(0, len(buf), nbytes), _shifts(n, m))
+    ]
     diag_off = array("q", accumulate(map(int.bit_count, diag_open), initial=0))
-    if vals[-1] == _INF:
+    samples = (s.values, q.values)
+    steps, cost = _sweep(n, m, samples, packed, diag_off[-1], True)
+    if cost == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
     sm.diag_open = diag_open
     sm.diag_off = diag_off
-    sm.vals = vals
+    sm.steps = steps
+    sm.cost = cost
     sm.unblocked = diag_off[-1] - sum(map(int.bit_count, col_bin))
+    sm._samples = samples
+    sm._vals = None
     return sm
+
+
+def _shifts(n: int, m: int) -> Iterator[int]:
+    """Per diagonal, the bit of its first column in its skewed row:
+    column j is bit j + 1, or row r is bit n - 1 - r on the transpose."""
+    if m > n:
+        return chain(range(n - 1, 0, -1), repeat(0, m))
+    return chain(repeat(1, n), range(2, m + 1))
+
+
+def _packed(diag_open: list[int], n: int, m: int) -> np.ndarray:
+    """The forward pass's skewed open set, packed 8 slots a byte, from
+    the per-diagonal masks."""
+    nbytes = (min(n, m) + 8) // 8
+    shifted = [(mask << k).to_bytes(nbytes, "little") for mask, k in zip(diag_open, _shifts(n, m))]
+    buf = b"".join(shifted)
+    return np.frombuffer(buf, np.uint8).reshape(-1, nbytes)
+
+
+def _sweep(
+    n: int,
+    m: int,
+    samples: tuple[np.ndarray, np.ndarray],
+    packed: np.ndarray,
+    count: int,
+    steps: bool,
+) -> tuple[np.ndarray, float]:
+    """The cost sweep over the skewed open set ``packed``: each open
+    cell's step code (``steps``) or accumulated cost, diagonal-major
+    with columns ascending, and the accumulated cost at (n, m)."""
+    wide = m > n
+    size = min(n, m)
+    down, across = samples[::-1] if wide else samples
+    flip = slice(None, None, -1 if wide else 1)  # skewed slots to swept
+    # Each slot's samples: down_diag[d, c + 1] = down[d - c] (0 off the
+    # matrix) down the swept rows, across_slots[c + 1] = across[c]; the
+    # samples run backward in ``padded``, so a row of slots is contiguous.
+    pad = np.zeros(size + 1)
+    padded = np.concatenate([pad, down[::-1], pad[:size]])
+    step = padded.itemsize
+    down_diag = np.ndarray(
+        (n + m - 1, size + 1), float, padded, (size - 1 + len(down)) * step, (-step, step)
+    )
+    across_slots = np.concatenate([pad[:1], across])
+    # One problem of min(n, m) + 1 slots; slot 0, the pad, is never
+    # open, so its local cost is inf.  Blocks grow with the open cells
+    # per slot, so a thin matrix takes few, and its rows stay within
+    # about a byte per open cell.  ``fill`` leaves its block's open mask
+    # for the read-back below; the mask is a variable it rebinds, so the
+    # last one is freed as the next is made and at most two are alive.
+    block = max(8, min(64, count // (8 * (size + 1))))
+    is_open = None
+
+    def fill(d0: int, rows: np.ndarray) -> None:
+        nonlocal is_open
+        k = len(rows)
+        is_open = np.unpackbits(
+            packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
+        ).view(bool)
+        np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
+        rows *= rows
+        np.putmask(rows, ~is_open[:, flip], _INF)
+
+    out = np.empty(count, np.uint8 if steps else float)
+    off = 0
+    for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
+        swept = step_codes(rows, wide) if steps else rows[2:]
+        got = swept[:, flip][is_open]
+        out[off : off + got.size] = got
+        off += got.size
+        last = rows.item(-1, -1)
+    return out, last
 
 
 def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
@@ -427,11 +492,30 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
 
     At each hop the open lower neighbor with the smallest accumulated
     cost wins; ties prefer the diagonal, then the vertical, then the
-    horizontal neighbor, matching the dense backtracker.
+    horizontal neighbor, matching the dense backtracker.  The forward
+    pass recorded each cell's winner, so a hop reads one code.
     """
-    if sm.vals is None:
+    if sm.steps is None:
         raise RuntimeError("forward pass has not run yet")
-    return WarpingPath(backtrack_path(sm.accumulated, sm.n, sm.m))
+    n = sm.n
+    masks = sm.diag_open
+    ends = sm.diag_off
+    steps = sm.steps.data
+    i, j = n, sm.m
+    path = [(i, j)]
+    while i > 1 or j > 1:
+        d = i + j - 2
+        k = n - i  # the cell's bit: its column less the diagonal's first
+        if k > j - 1:
+            k = j - 1
+        code = steps[ends[d + 1] - (masks[d] >> k).bit_count()]
+        if code != 2:
+            i -= 1
+        if code != 1:
+            j -= 1
+        path.append((i, j))
+    path.reverse()
+    return WarpingPath(path)
 
 
 def _sparse_dtw(
@@ -445,7 +529,7 @@ def _sparse_dtw(
     forward_pass(sm, s, q)
     path = sparse_backtrack(sm)
     elapsed = time.perf_counter() - start
-    raw = float(sm.vals[-1])
+    raw = sm.cost
     result = AlignmentResult(
         path=path,
         raw_cost=raw,
@@ -475,7 +559,7 @@ def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
     sv = s.values.tolist()
     qv = q.values.tolist()
     cols, rows, order = sm._cells()
-    acc = repeat(None) if order is None else sm.vals[order].tolist()
+    acc = repeat(None) if order is None else sm._costs()[order].tolist()
     out = []
     for j, r, v in zip(cols.tolist(), rows.tolist(), acc):
         lc = local_distance(sv[r], qv[j])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tswarp import (
@@ -13,6 +13,9 @@ from tswarp import (
     quantize,
     validate_path,
 )
+from tswarp.core import backtrack_path, step_codes
+
+INF = float("inf")
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -140,3 +143,53 @@ class TestNormalizedDistance:
     )
     def test_matches_definition(self, raw, k):
         assert normalized_distance(raw, k) == math.sqrt(raw) / k
+
+
+# A cell's accumulated cost: ties, open but unreachable (inf) or closed (None).
+cell_costs = st.sampled_from([0.0, 1.0, 2.0, INF, None])
+
+
+def _first_hop(grid: dict, i: int, j: int) -> tuple[int, int]:
+    """``backtrack_path``'s first hop from (i, j) over ``grid``'s costs.
+
+    Every probe of a later hop sees 0.0, so the walk always ends: cells
+    off the first hop's neighbors cost 0.0, and a neighbor probed again
+    is probed by a later hop.
+    """
+    neighbors = {(i - 1, j - 1), (i - 1, j), (i, j - 1)}
+    probed = set()
+
+    def cost(a, b):
+        if (a, b) in neighbors and (a, b) not in probed:
+            probed.add((a, b))
+            return grid[a, b]
+        return 0.0
+
+    return backtrack_path(cost, i, j)[-2]
+
+
+class TestStepCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    def test_codes_take_the_backtracker_hop(self, n, m, transposed, data):
+        grid = {(i, j): data.draw(cell_costs) for i in range(1, n + 1) for j in range(1, m + 1)}
+        # The swept matrix, the transpose when ``transposed``, laid out as
+        # sweep_diagonals yields it: its cell (u, c), 0-based, at slot
+        # c + 1 of row u + c + 2, after the two carry rows; closed and
+        # off-matrix slots hold inf.
+        down, across = (m, n) if transposed else (n, m)
+        rows = np.full((down + across + 1, across + 1), INF)
+        rows[0, 0] = 0.0
+        for (i, j), v in grid.items():
+            u, c = (j - 1, i - 1) if transposed else (i - 1, j - 1)
+            rows[u + c + 2, c + 1] = INF if v is None else v
+        codes = step_codes(rows, transposed)
+        assert codes.shape == (down + across - 1, across + 1)
+        hops = [(-1, -1), (-1, 0), (0, -1)]
+        for (i, j) in grid:
+            lower = [grid.get((i + di, j + dj)) for di, dj in hops]
+            if not any(v is not None and v < INF for v in lower):
+                continue  # no path back from a finite cost passes here
+            u, c = (j - 1, i - 1) if transposed else (i - 1, j - 1)
+            di, dj = hops[codes[u + c, c + 1]]
+            assert (i + di, j + dj) == _first_hop(grid, i, j)

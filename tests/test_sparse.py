@@ -18,7 +18,8 @@ from tswarp import (
     upper_neighbors,
     validate_path,
 )
-from tswarp.sparse import _sparse_dtw, dump_lines, forward_pass, populate
+from tswarp.core import backtrack_path
+from tswarp.sparse import _sparse_dtw, dump_lines, forward_pass, populate, sparse_backtrack
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -210,6 +211,21 @@ class TestSparseDtw:
         assert peak < 300 * n * m
 
 
+    def test_peak_memory_per_open_cell(self):
+        # The forward pass keeps a one-byte step code per open cell, not
+        # its 8-byte cost, and no buffer outlives the transient skew of
+        # the open set: about 4.5 B per open cell here, 8.9 when the
+        # costs were kept.
+        s, q = generate_pair(SyntheticSpec(1000, 0.95, 7))
+        tracemalloc.start()
+        try:
+            r = sparse_dtw(s, q, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * r.computed_cells
+
+
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
     """Final cost and sorted open cells of ``_reference_engine``."""
     acc, open_cells, _ = _reference_engine(s, q, res)
@@ -334,6 +350,10 @@ class TestRunCompressedStorage:
         sm = populate(quantize(s), quantize(q), build_bins(res), s, q)
         bin_rows = sm.col_rows
         forward_pass(sm, s, q)
+        # The step codes walk the dense backtracker's hops over the costs,
+        # which the first ``accumulated`` query computes by re-running the
+        # sweep.
+        assert sparse_backtrack(sm).steps == tuple(backtrack_path(sm.accumulated, n, m))
         assert sm.col_rows == bin_rows
         rows, vals = sm.col_open_rows, sm.col_vals
         assert len(rows) == len(vals) == m
