@@ -30,8 +30,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, pairwise, repeat
-from typing import Iterator
+from itertools import accumulate, pairwise, repeat
 
 import numpy as np
 
@@ -149,24 +148,31 @@ class SparseMatrix:
     - ``col_bin``: each column's bin-opened rows, corners forced in,
       from ``populate``; bit r is set when row r (0-based) is open.
     - After ``forward_pass``, per anti-diagonal d = r + j (0-based row r
-      and column j, d from 0 to n + m - 2): ``diag_open``, whose bit k
-      is set when the diagonal's cell in column ``max(0, d - n + 1) + k``
-      (its first column plus k) is open; ``diag_off``, n + m offsets
-      into ``steps``; ``steps``, one uint8 per open cell,
-      diagonal-major with columns ascending, naming the lower neighbor
-      that ``backtrack_path`` takes from the cell (0 diagonal, 1
-      vertical, 2 horizontal); and ``cost``, the accumulated cost at
-      (n, m).  Diagonal d's codes are ``steps[diag_off[d]:diag_off[d +
-      1]]``, and the code of its open bit k sits at ``diag_off[d + 1]``
-      less the popcount of ``mask >> k``, so a query touches only the
-      diagonal's bits from k on.  That is 1 byte per open cell plus, per
-      diagonal, a mask of at most min(n, m) bits, an 8-byte offset and
-      about 35 bytes of Python int and list overhead.  A whole
-      ``sparse_dtw`` call peaks at the forward pass's skew of the open
-      set, (n + m - 1) x (min(n, m) + 1) bools, and the min(n, m) x
-      max(n, m) bools it is copied from: 4.5 bytes per open cell
-      (tracemalloc) at L = 1000, rho 0.95, res 0.5 (66% of cells open),
-      and 3.6 at L = 3000 (83%).
+      and column j, d from 0 to n + m - 2): ``diag_open``, whose bit p
+      is set when the diagonal's slot p is open, slot p being its cell
+      in 1-based row p when m > n and in 1-based column p otherwise
+      (``_slot``; bit 0 is never set), as the cost sweep lays out the
+      diagonal; ``diag_off``, n + m offsets into ``steps``; ``steps``,
+      one uint8 per open cell, diagonal-major with slots ascending,
+      naming the lower neighbor that ``backtrack_path`` takes from the
+      cell (0 diagonal, 1 vertical, 2 horizontal); and ``cost``, the
+      accumulated cost at (n, m).  Diagonal d's codes are
+      ``steps[diag_off[d]:diag_off[d + 1]]``, and the code of its open
+      bit p sits at ``diag_off[d + 1]`` less the popcount of
+      ``mask >> p``, so a query touches only the diagonal's bits from p
+      on.  That is 1 byte per open cell plus, per diagonal, a mask of at
+      most min(n, m) + 1 bits, an 8-byte offset and about 35 bytes of
+      Python int and list overhead: 1.27 bytes per open cell at
+      L = 3000, rho 0.95, res 0.5, of which the masks take 2.0 MB.
+
+    A whole ``sparse_dtw`` call peaks (tracemalloc, rho 0.95, res 0.5,
+    seed 7) at the forward pass's skew of the open set once L reaches
+    about 1000: (n + m - 1) x (min(n, m) + 1) bools and the n x m bools
+    it is copied from, 4.5 bytes per open cell at L = 1000 (66% of cells
+    open) and 3.6 at L = 3000 (83%).  Up to L = 500 it peaks in the
+    sweep instead, where the packed open set, the codes and a block of
+    rows with their temporaries are alive: 5.4 bytes per open cell at
+    L = 250, and 8.9 at L = 120, rho 0, res 0.1 (42% open).
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
@@ -198,14 +204,13 @@ class SparseMatrix:
         if self.steps is None:
             cols, rows = np.nonzero(_bits(self.col_bin, n))
             return cols, rows, None
-        # Bit k of diagonal d, flat index d * w + k, is column k plus the
-        # diagonal's first column, max(0, d - n + 1).
-        w = min(n, self.m)
-        d = np.arange(len(self.diag_open))
-        per_diag = np.diff(self.diag_off)
-        cols = np.flatnonzero(_bits(self.diag_open, w))
-        cols -= np.repeat(d * w - np.maximum(d - n + 1, 0), per_diag)
-        rows = np.repeat(d, per_diag) - cols
+        # Bit p of diagonal d, at flat index d * w + p, is slot p: swept
+        # column c = p - 1 and swept row d - c.
+        w = min(n, self.m) + 1
+        u, c = np.divmod(np.flatnonzero(_bits(self.diag_open, w)), w)
+        c -= 1
+        u -= c
+        cols, rows = (u, c) if self.m > n else (c, u)
         # Rows ascend with d within a column, so a stable sort by column
         # is column-major; numpy sorts keys of 16 bits or less by radix.
         order = np.argsort(cols.astype(np.min_scalar_type(self.m)), kind="stable")
@@ -221,7 +226,7 @@ class SparseMatrix:
         """Every open cell's accumulated cost, laid out like ``steps``:
         the cost sweep run again, once."""
         if self._vals is None:
-            packed = _packed(self.diag_open, self.n, self.m)
+            packed = _packed(self.diag_open, min(self.n, self.m) + 1)
             self._vals = _sweep(self.n, self.m, self._samples, packed, self.diag_off[-1], False)[0]
         return self._vals
 
@@ -254,12 +259,17 @@ class SparseMatrix:
             return self.diag_off[-1]
         return sum(map(int.bit_count, self.col_bin))
 
+    def _slot(self, i: int, j: int) -> int:
+        """The slot, and so the ``diag_open`` bit, of 1-based cell
+        (i, j) on its diagonal: its row when the sweep runs over the
+        transpose (m > n), else its column."""
+        return i if self.m > self.n else j
+
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
         if self.steps is None:
             return bool(self.col_bin[j - 1] >> (i - 1) & 1)
-        # The cell's bit: its column less its diagonal's first column.
-        return bool(self.diag_open[i + j - 2] >> min(self.n - i, j - 1) & 1)
+        return bool(self.diag_open[i + j - 2] >> self._slot(i, j) & 1)
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
@@ -272,18 +282,35 @@ class SparseMatrix:
             raise RuntimeError("forward pass has not run yet")
         d = i + j - 2
         # The cell and the open cells after it on its diagonal.
-        above = self.diag_open[d] >> min(self.n - i, j - 1)
+        above = self.diag_open[d] >> self._slot(i, j)
         if not above & 1:
             return None
         return self._costs().item(self.diag_off[d + 1] - above.bit_count())
 
 
+def _packed(masks: list[int], width: int) -> np.ndarray:
+    """Bit k of ``masks[x]``, k < width, as bit k of row x, 8 bits a
+    byte, little-endian: the inverse of ``_ints``."""
+    nbytes = (width + 7) // 8
+    rows = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
+    return np.frombuffer(rows, np.uint8).reshape(len(masks), nbytes)
+
+
+def _ints(packed: np.ndarray) -> list[int]:
+    """Each row of ``packed`` (8 bits a byte, little-endian) as an int.
+
+    The rows are read from one bytes copy: slicing bytes is faster than
+    slicing a memoryview of the array when the rows are a few bytes.
+    """
+    nbytes = packed.shape[1]
+    rows = packed.tobytes()
+    return [int.from_bytes(rows[x : x + nbytes], "little") for x in range(0, len(rows), nbytes)]
+
+
 def _bits(masks: list[int], width: int) -> np.ndarray:
     """Bit k of ``masks[x]`` at ``[x, k]``, k < width, one bool per bit."""
-    nbytes = (width + 7) // 8
-    buf = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
-    bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
-    return bits.view(bool).reshape(len(masks), 8 * nbytes)[:, :width]
+    packed = _packed(masks, width)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
 def populate(
@@ -314,8 +341,7 @@ def populate(
     keys, col_key = np.unique(first * nb + last, return_inverse=True)
     first, last = np.divmod(keys, nb)
     rows = (sv >= lows[first][:, None]) & (sv <= highs[last][:, None])
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    masks = _ints(np.packbits(rows, axis=1, bitorder="little"))
     col_bin = list(map(masks.__getitem__, col_key.tolist()))
     col_bin[0] |= 1
     col_bin[-1] |= 1 << (n - 1)
@@ -372,13 +398,12 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # sweep would.  A diagonal holds at most min(n, m) cells, so when
     # m > n the sweep runs over the transpose, whose costs are the same
     # (the minimum is symmetric in the left and upper neighbors, and
-    # (a - b)**2 == (b - a)**2).  Slot c + 1 of a swept diagonal is
-    # swept column c, and slot 0 is column -1, off the matrix.  The open
-    # set is skewed once, slots reversed for the transpose so that
-    # columns ascend along each skewed row: swept cell (u, c) sits on
-    # diagonal u + c, in skewed column c + 1, or size - 1 - c on the
-    # transpose.  The masks kept are those rows shifted to each
-    # diagonal's first column.
+    # (a - b)**2 == (b - a)**2).  The open set is skewed once into the
+    # sweep's own slots: swept cell (u, c) is slot c + 1 of diagonal
+    # u + c, and slot 0 is column -1, off the matrix.  Packed, those rows
+    # are the sweep's one copy of the open set; each is read back as its
+    # diagonal's mask only once the sweep is done.
+    count = sum(map(int.bit_count, col_open))  # the open cells
     wide = m > n
     size = min(n, m)
     bits = _bits(col_open, n)  # bits[c, u], swept column c and row u
@@ -386,50 +411,26 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         bits = bits.T
     del col_open
     skew = np.zeros((n + m - 1, size + 1), bool)
-    first, step = (size - 1, -1) if wide else (1, 1)
-    np.ndarray(bits.shape, bool, skew, first, (size + 1 + step, size + 1))[:] = bits
+    np.ndarray(bits.shape, bool, skew, 1, (size + 2, size + 1))[:] = bits
     del bits
     packed = np.packbits(skew, axis=1, bitorder="little")
     del skew  # freed before the step codes are allocated
-    nbytes = packed.shape[1]
-    buf = packed.tobytes()
-    diag_open = [
-        int.from_bytes(buf[x : x + nbytes], "little") >> k
-        for x, k in zip(range(0, len(buf), nbytes), _shifts(n, m))
-    ]
-    diag_off = array("q", accumulate(map(int.bit_count, diag_open), initial=0))
     samples = (s.values, q.values)
-    steps, cost = _sweep(n, m, samples, packed, diag_off[-1], True)
+    steps, cost = _sweep(n, m, samples, packed, count, True)
     if cost == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    sm.diag_open = diag_open
-    sm.diag_off = diag_off
+    sm.diag_open = _ints(packed)
+    del packed
+    sm.diag_off = array("q", accumulate(map(int.bit_count, sm.diag_open), initial=0))
     sm.steps = steps
     sm.cost = cost
-    sm.unblocked = diag_off[-1] - sum(map(int.bit_count, col_bin))
+    sm.unblocked = count - sum(map(int.bit_count, col_bin))
     sm._samples = samples
     sm._vals = None
     return sm
-
-
-def _shifts(n: int, m: int) -> Iterator[int]:
-    """Per diagonal, the bit of its first column in its skewed row:
-    column j is bit j + 1, or row r is bit n - 1 - r on the transpose."""
-    if m > n:
-        return chain(range(n - 1, 0, -1), repeat(0, m))
-    return chain(repeat(1, n), range(2, m + 1))
-
-
-def _packed(diag_open: list[int], n: int, m: int) -> np.ndarray:
-    """The forward pass's skewed open set, packed 8 slots a byte, from
-    the per-diagonal masks."""
-    nbytes = (min(n, m) + 8) // 8
-    shifted = [(mask << k).to_bytes(nbytes, "little") for mask, k in zip(diag_open, _shifts(n, m))]
-    buf = b"".join(shifted)
-    return np.frombuffer(buf, np.uint8).reshape(-1, nbytes)
 
 
 def _sweep(
@@ -440,13 +441,13 @@ def _sweep(
     count: int,
     steps: bool,
 ) -> tuple[np.ndarray, float]:
-    """The cost sweep over the skewed open set ``packed``: each open
-    cell's step code (``steps``) or accumulated cost, diagonal-major
-    with columns ascending, and the accumulated cost at (n, m)."""
+    """The cost sweep over ``packed``, the open set in the sweep's slots
+    (row d, bit c + 1 for swept cell (d - c, c)): each open cell's step
+    code (``steps``) or accumulated cost, diagonal-major with slots
+    ascending, and the accumulated cost at (n, m)."""
     wide = m > n
     size = min(n, m)
     down, across = samples[::-1] if wide else samples
-    flip = slice(None, None, -1 if wide else 1)  # skewed slots to swept
     # Each slot's samples: down_diag[d, c + 1] = down[d - c] (0 off the
     # matrix) down the swept rows, across_slots[c + 1] = across[c]; the
     # samples run backward in ``padded``, so a row of slots is contiguous.
@@ -474,13 +475,13 @@ def _sweep(
         ).view(bool)
         np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
         rows *= rows
-        np.putmask(rows, ~is_open[:, flip], _INF)
+        np.putmask(rows, ~is_open, _INF)
 
     out = np.empty(count, np.uint8 if steps else float)
     off = 0
     for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
         swept = step_codes(rows, wide) if steps else rows[2:]
-        got = swept[:, flip][is_open]
+        got = swept[is_open]
         out[off : off + got.size] = got
         off += got.size
         last = rows.item(-1, -1)
@@ -501,14 +502,13 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     masks = sm.diag_open
     ends = sm.diag_off
     steps = sm.steps.data
+    wide = sm.m > n
     i, j = n, sm.m
     path = [(i, j)]
     while i > 1 or j > 1:
         d = i + j - 2
-        k = n - i  # the cell's bit: its column less the diagonal's first
-        if k > j - 1:
-            k = j - 1
-        code = steps[ends[d + 1] - (masks[d] >> k).bit_count()]
+        slot = i if wide else j  # ``SparseMatrix._slot``, without a call per hop
+        code = steps[ends[d + 1] - (masks[d] >> slot).bit_count()]
         if code != 2:
             i -= 1
         if code != 1:

@@ -211,19 +211,25 @@ class TestSparseDtw:
         assert peak < 300 * n * m
 
 
-    def test_peak_memory_per_open_cell(self):
+    @pytest.mark.parametrize(
+        "L, rho, res, bound", [(1000, 0.95, 0.5, 6.5), (120, 0.0, 0.1, 11.0)]
+    )
+    def test_peak_memory_per_open_cell(self, L, rho, res, bound):
         # The forward pass keeps a one-byte step code per open cell, not
         # its 8-byte cost, and no buffer outlives the transient skew of
-        # the open set: about 4.5 B per open cell here, 8.9 when the
-        # costs were kept.
-        s, q = generate_pair(SyntheticSpec(1000, 0.95, 7))
+        # the open set: about 4.5 B per open cell at L = 1000, 8.9 when
+        # the costs were kept.  At L = 120 the call peaks in the sweep,
+        # where the open set is held once, packed in the sweep's slots:
+        # 8.9 B per open cell, and 11.6 while its bytes copy and the
+        # per-diagonal masks were alive beside it.
+        s, q = generate_pair(SyntheticSpec(L, rho, 7))
         tracemalloc.start()
         try:
-            r = sparse_dtw(s, q, 0.5)
+            r = sparse_dtw(s, q, res)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * r.computed_cells
+        assert peak < bound * r.computed_cells
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
