@@ -7,6 +7,12 @@ dumps record by record:
     python3 tools/identity_corpus.py dump src new.json
     python3 tools/identity_corpus.py compare old.json new.json
 
+or, in one command, dumping ``OLD_CHECKOUT/src`` and this checkout's
+``src`` into a temporary directory, each in its own process, and
+comparing them with ``compare``'s output and exit status:
+
+    python3 tools/identity_corpus.py check OLD_CHECKOUT/src
+
 The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 1-12), 60 Gaussian pairs of unequal lengths 1-39, generated pairs at
 L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
@@ -40,6 +46,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -309,10 +316,22 @@ def compare(a_path: str, b_path: str) -> int:
     return 1 if differ else 0
 
 
+def check(old_src: str) -> int:
+    """Dump ``old_src`` and this checkout's ``src``, then compare them."""
+    new_src = Path(__file__).resolve().parent.parent / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        dumps = [f"{tmp}/old.json", f"{tmp}/new.json"]
+        for src, out_path in zip((old_src, new_src), dumps):
+            subprocess.run([sys.executable, __file__, "dump", str(src), out_path], check=True)
+        return compare(*dumps)
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "dump":
         dump(sys.argv[2], sys.argv[3])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
+    elif len(sys.argv) == 3 and sys.argv[1] == "check":
+        sys.exit(check(sys.argv[2]))
     else:
         sys.exit(__doc__)
