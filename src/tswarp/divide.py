@@ -142,13 +142,17 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
 
 
 def forward_space_efficient(s: TimeSeries, q: TimeSeries) -> list[float]:
-    """Cumulative costs D(i, m) for every row i, in O(|s| + |q|) space."""
+    """Cumulative costs D(i, m) for every row i, in O(|s| + |q|) space.
+    Raises ``CostOverflowError`` when path costs could overflow."""
+    check_cost_range(s, q)
     return _last_columns([(s.values, q.values)])[0].tolist()
 
 
 def backward_space_efficient(s: TimeSeries, q: TimeSeries) -> list[float]:
     """Cost-to-go from each (i, 1) to (n, m): the forward sweep of the
-    reversed problem, re-reversed."""
+    reversed problem, re-reversed.  Raises ``CostOverflowError`` when
+    path costs could overflow."""
+    check_cost_range(s, q)
     return _last_columns([(s.values[::-1], q.values[::-1])])[0][::-1].tolist()
 
 

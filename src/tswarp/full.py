@@ -61,7 +61,9 @@ def cost_matrix(s: TimeSeries, q: TimeSeries) -> CostMatrix:
 
     The first row and column are cumulative sums of local costs, so
     D(n, m) is the minimum path cost over all valid warping paths.
+    Raises ``CostOverflowError`` when path costs could overflow.
     """
+    check_cost_range(s, q)
     sv = s.values.tolist()
     D = np.empty((len(sv), len(q)))
     for j, col in enumerate(dense_columns(sv, q.values.tolist())):
@@ -92,7 +94,6 @@ def dtw_full(
             f"dense matrix needs {n * m} cells, budget is {max_cells}; "
             "raise max_cells to force the computation"
         )
-    check_cost_range(s, q)
     start = time.perf_counter()
     D = cost_matrix(s, q)
     path = backtrack(D)

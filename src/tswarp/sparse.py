@@ -324,8 +324,11 @@ def populate(
 
     The corner cells (1,1) and (n,m) are force-opened: the boundary
     constraint puts them on every path, and bin membership alone does
-    not guarantee the two endpoint samples share a bin.
+    not guarantee the two endpoint samples share a bin.  Raises
+    ``CostOverflowError`` when path costs over ``s`` and ``q`` could
+    overflow.
     """
+    check_cost_range(s, q)
     sv = np.asarray(sq.values)
     qv = np.asarray(qq.values)
     n = sv.size

@@ -1,5 +1,6 @@
 """Contracts that hold across all four aligners."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,20 @@ from tswarp import (
     BandSpec,
     CostOverflowError,
     TimeSeries,
+    backward_space_efficient,
+    build_bins,
+    cost_matrix,
     dc_align,
     dtw_band,
     dtw_full,
+    forward_space_efficient,
     min_connecting_width,
+    quantize,
     sparse_dtw,
     validate_path,
 )
 from tswarp.cli import main
+from tswarp.sparse import forward_pass, populate
 
 # Small integer samples make equal-cost predecessors common, so these
 # series exercise the diagonal > vertical > horizontal tie rule.
@@ -87,8 +94,18 @@ def test_every_aligner_returns_a_valid_path_no_cheaper_than_full(pair, res):
 
 OVERFLOW_S = [1e200, -1e200, 0.0]
 OVERFLOW_Q = [0.0, 1e200, 3.0]
+INFINITE_SPAN_S = [1.7e308, -1.7e308, 0.0]  # quantize warns and returns nan
 
 
+def _sparse_stages(s, q):
+    # The caller's quantize warns on an infinite span; populate's guard
+    # is what must raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, qq = quantize(s), quantize(q)
+    return forward_pass(populate(sq, qq, build_bins(0.5), s, q), s, q)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "align",
     [
@@ -96,14 +113,28 @@ OVERFLOW_Q = [0.0, 1e200, 3.0]
         dc_align,
         lambda s, q: dtw_band(s, q, BandSpec(0)),
         sparse_dtw,
+        cost_matrix,
+        forward_space_efficient,
+        backward_space_efficient,
+        _sparse_stages,
     ],
-    ids=["full", "dc", "band-w0", "sparse"],
+    ids=[
+        "full",
+        "dc",
+        "band-w0",
+        "sparse",
+        "cost_matrix",
+        "forward_space_efficient",
+        "backward_space_efficient",
+        "sparse-stages",
+    ],
 )
 def test_overflowing_costs_raise_typed_error(align):
-    s = TimeSeries("s", OVERFLOW_S)
-    q = TimeSeries("q", OVERFLOW_Q)
-    with pytest.raises(CostOverflowError, match="overflow"):
-        align(s, q)
+    for s_values in (OVERFLOW_S, INFINITE_SPAN_S):
+        s = TimeSeries("s", s_values)
+        q = TimeSeries("q", OVERFLOW_Q)
+        with pytest.raises(CostOverflowError, match="overflow"):
+            align(s, q)
 
 
 @pytest.mark.parametrize("algo", ["full", "band", "dc", "sparse"])

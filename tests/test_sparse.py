@@ -211,25 +211,32 @@ class TestSparseDtw:
         assert peak < 300 * n * m
 
 
-    @pytest.mark.parametrize(
-        "L, rho, res, bound", [(1000, 0.95, 0.5, 6.5), (120, 0.0, 0.1, 11.0)]
-    )
-    def test_peak_memory_per_open_cell(self, L, rho, res, bound):
+    @pytest.mark.filterwarnings("error")
+    def test_off_matrix_squares_overflow_without_a_warning(self):
+        # Span 0, so the cost range check accepts the pair and the cost
+        # is 0, but the sweep squares 0 against 1e200 off the matrix.
+        for n, m in [(4, 3), (3, 4)]:
+            _, sm = _sparse_dtw(TimeSeries("s", [1e200] * n), TimeSeries("q", [1e200] * m), 0.5)
+            assert sm.cost == 0.0
+            assert sm.col_vals[-1][-1] == 0.0  # the cost sweep run again
+
+    def test_peak_memory_per_open_cell(self):
         # The forward pass keeps a one-byte step code per open cell, not
         # its 8-byte cost, and no buffer outlives the transient skew of
         # the open set: about 4.5 B per open cell at L = 1000, 8.9 when
         # the costs were kept.  At L = 120 the call peaks in the sweep,
         # where the open set is held once, packed in the sweep's slots:
-        # 8.9 B per open cell, and 11.6 while its bytes copy and the
+        # 9.0 B per open cell, and 11.6 while its bytes copy and the
         # per-diagonal masks were alive beside it.
-        s, q = generate_pair(SyntheticSpec(L, rho, 7))
-        tracemalloc.start()
-        try:
-            r = sparse_dtw(s, q, res)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * r.computed_cells
+        for L, rho, res, bound in [(1000, 0.95, 0.5, 6.5), (120, 0.0, 0.1, 11.0)]:
+            s, q = generate_pair(SyntheticSpec(L, rho, 7))
+            tracemalloc.start()
+            try:
+                r = sparse_dtw(s, q, res)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * r.computed_cells, (L, peak / r.computed_cells)
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
