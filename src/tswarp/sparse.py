@@ -309,8 +309,8 @@ def _ints(packed: np.ndarray) -> list[int]:
 
 def _bits(masks: list[int], width: int) -> np.ndarray:
     """Bit k of ``masks[x]`` at ``[x, k]``, k < width, one bool per bit."""
-    packed = _packed(masks, width)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+    bits = np.unpackbits(_packed(masks, width), axis=1, count=width, bitorder="little")
+    return bits.view(bool)
 
 
 def populate(
@@ -426,7 +426,6 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
             "connect the corners"
         )
     sm.diag_open = _ints(packed)
-    del packed
     sm.diag_off = array("q", accumulate(map(int.bit_count, sm.diag_open), initial=0))
     sm.steps = steps
     sm.cost = cost
