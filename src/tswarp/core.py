@@ -284,10 +284,9 @@ def sweep_diagonals(
     # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
     steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
     best = np.empty(width - 1)
-    # No path cost can overflow once ``check_cost_range`` has passed,
-    # but a fill may square a pad 0 against a sample in a slot that it
-    # then sets to inf (sparse's pad and off-matrix slots), and that
-    # square can overflow: [1e200] * 4 against [1e200] * 3 has span 0.
+    # ``check_cost_range`` keeps path costs finite, but sparse's fill
+    # squares 0 against a sample in off-matrix slots before setting them
+    # to inf, which overflows on [1e200] * 4 against [1e200] * 3.
     with np.errstate(over="ignore"):
         for d0 in range(0, diags, block):
             k = min(block, diags - d0)

@@ -149,30 +149,24 @@ class SparseMatrix:
       from ``populate``; bit r is set when row r (0-based) is open.
     - After ``forward_pass``, per anti-diagonal d = r + j (0-based row r
       and column j, d from 0 to n + m - 2): ``diag_open``, whose bit p
-      is set when the diagonal's slot p is open, slot p being its cell
-      in 1-based row p when m > n and in 1-based column p otherwise
-      (``_slot``; bit 0 is never set), as the cost sweep lays out the
-      diagonal; ``diag_off``, n + m offsets into ``steps``; ``steps``,
-      one uint8 per open cell, diagonal-major with slots ascending,
-      naming the lower neighbor that ``backtrack_path`` takes from the
-      cell (0 diagonal, 1 vertical, 2 horizontal); and ``cost``, the
-      accumulated cost at (n, m).  Diagonal d's codes are
-      ``steps[diag_off[d]:diag_off[d + 1]]``, and the code of its open
-      bit p sits at ``diag_off[d + 1]`` less the popcount of
+      is set when the diagonal's slot p in the cost sweep is open, slot
+      p being the cell in 1-based row p when m > n, else in 1-based
+      column p (``_slot``); ``diag_off``, n + m offsets into ``steps``;
+      ``steps``, one uint8 per open cell, diagonal-major with slots
+      ascending, naming the lower neighbor that ``backtrack_path`` takes
+      from the cell (0 diagonal, 1 vertical, 2 horizontal); and
+      ``cost``, the accumulated cost at (n, m).  The code of diagonal
+      d's open bit p sits at ``diag_off[d + 1]`` less the popcount of
       ``mask >> p``, so a query touches only the diagonal's bits from p
       on.  That is 1 byte per open cell plus, per diagonal, a mask of at
       most min(n, m) + 1 bits, an 8-byte offset and about 35 bytes of
-      Python int and list overhead: 1.27 bytes per open cell at
-      L = 3000, rho 0.95, res 0.5, of which the masks take 2.0 MB.
-
-    A whole ``sparse_dtw`` call peaks (tracemalloc, rho 0.95, res 0.5,
-    seed 7) at the forward pass's skew of the open set once L reaches
-    about 1000: (n + m - 1) x (min(n, m) + 1) bools and the n x m bools
-    it is copied from, 4.5 bytes per open cell at L = 1000 (66% of cells
-    open) and 3.6 at L = 3000 (83%).  Up to L = 500 it peaks in the
-    sweep instead, where the packed open set, the codes and a block of
-    rows with their temporaries are alive: 5.4 bytes per open cell at
-    L = 250, and 8.9 at L = 120, rho 0, res 0.1 (42% open).
+      Python int and list overhead.  From L = 1000 up, a whole
+      ``sparse_dtw`` call peaks at the forward pass's skew of the open
+      set, (n + m - 1) x (min(n, m) + 1) bools, and the n x m bools it
+      is copied from: 3.6 bytes per open cell (tracemalloc) at L = 3000,
+      rho 0.95, res 0.5.  Up to L = 500 it peaks in the sweep, which
+      holds the open set once, packed: 8.9 bytes per open cell at
+      L = 120, rho 0, res 0.1.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
@@ -260,9 +254,8 @@ class SparseMatrix:
         return sum(map(int.bit_count, self.col_bin))
 
     def _slot(self, i: int, j: int) -> int:
-        """The slot, and so the ``diag_open`` bit, of 1-based cell
-        (i, j) on its diagonal: its row when the sweep runs over the
-        transpose (m > n), else its column."""
+        """The ``diag_open`` bit of 1-based cell (i, j): its row when the
+        sweep runs over the transpose (m > n), else its column."""
         return i if self.m > self.n else j
 
     def is_open(self, i: int, j: int) -> bool:
@@ -297,11 +290,8 @@ def _packed(masks: list[int], width: int) -> np.ndarray:
 
 
 def _ints(packed: np.ndarray) -> list[int]:
-    """Each row of ``packed`` (8 bits a byte, little-endian) as an int.
-
-    The rows are read from one bytes copy: slicing bytes is faster than
-    slicing a memoryview of the array when the rows are a few bytes.
-    """
+    """Each row of ``packed`` (8 bits a byte, little-endian) as an int,
+    sliced from a bytes copy: a memoryview's slices are slower."""
     nbytes = packed.shape[1]
     rows = packed.tobytes()
     return [int.from_bytes(rows[x : x + nbytes], "little") for x in range(0, len(rows), nbytes)]
