@@ -381,6 +381,7 @@ class TestRunCompressedStorage:
         acc, ref_open, ref_unblocked = _reference_engine(s, q, res)
         assert sm.open_cells() == ref_open
         assert sm.unblocked == ref_unblocked
+        assert type(sm.unblocked) is int  # JSON-serializable, unlike numpy ints
         # The sweep's arithmetic is the reference's: costs agree exactly.
         for j in range(1, m + 1):
             for i in range(1, n + 1):
