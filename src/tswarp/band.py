@@ -18,7 +18,6 @@ from .core import (
     WarpingPath,
     backtrack_path,
     check_cost_range,
-    normalized_distance,
     sweep_column,
 )
 
@@ -126,7 +125,6 @@ def dtw_band(s: TimeSeries, q: TimeSeries, band: BandSpec) -> AlignmentResult:
         prev = _window(cols[-1], lo - 1, hi)
         cols.append((lo, sweep_column(sv[lo - 1 : hi], qv[j - 1], prev[1:], prev[0])))
         computed += hi - lo + 1
-    raw = cols[m][1][-1]
 
     def cost(i: int, j: int) -> float | None:
         first, costs = cols[j]
@@ -137,8 +135,7 @@ def dtw_band(s: TimeSeries, q: TimeSeries, band: BandSpec) -> AlignmentResult:
     elapsed = time.perf_counter() - start
     return AlignmentResult(
         path=path,
-        raw_cost=raw,
-        normalized_distance=normalized_distance(raw, path.K),
+        raw_cost=cols[m][1][-1],
         computed_cells=computed,
         elapsed=elapsed,
         algorithm_params={"algorithm": "band", "width": width},

@@ -40,10 +40,6 @@ EXIT_DATA = 2
 EXIT_ALGORITHM = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _WriteError(Exception):
     """An output file could not be written (exit 2)."""
 
@@ -63,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; the contract wants 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_one(path: str) -> TimeSeries:
@@ -105,14 +101,14 @@ def _aligner(
         return dtw_full
     if algo == "band":
         if width is None:
-            raise _UsageError("--width is required for algo=band")
+            raise ValueError("--width is required for algo=band")
         return lambda s, q: dtw_band(s, q, BandSpec(width))
     if algo == "dc":
         mid_mode = getattr(args, "mid_mode", "ceil")
         return lambda s, q: dc_align(s, q, mid_mode=mid_mode)
     if algo == "sparse":
         return lambda s, q: sparse_dtw(s, q, res=args.res)
-    raise _UsageError(f"unknown algorithm {algo!r}")
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def _cmd_align(args) -> int:
@@ -187,7 +183,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     if not (args.lengths and args.rhos and args.seeds and args.algos):
-        raise _UsageError("benchmark grid is empty")
+        raise ValueError("benchmark grid is empty")
     pairs = []
     for length, rho, seed in product(args.lengths, args.rhos, args.seeds):
         s, q = generate_pair(SyntheticSpec(length=length, rho=rho, seed=seed))
@@ -198,7 +194,7 @@ def _cmd_bench(args) -> int:
             algorithms[algo] = _aligner(algo, args, None)
             continue
         if not args.widths:
-            raise _UsageError("--widths is required when benching band")
+            raise ValueError("--widths is required when benching band")
         for w in args.widths:
             algorithms[f"band-w{w}"] = _aligner(algo, args, w)
     # The output is opened first, so that a bad path fails before the sweep.
@@ -273,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -133,10 +133,14 @@ class AlignmentResult:
 
     path: WarpingPath
     raw_cost: float
-    normalized_distance: float
     computed_cells: int
     elapsed: float
     algorithm_params: dict = field(default_factory=dict)
+
+    @property
+    def normalized_distance(self) -> float:
+        """sqrt(raw_cost) / K, K being the path length."""
+        return normalized_distance(self.raw_cost, self.path.K)
 
 
 def local_distance(a: float, b: float) -> float:
@@ -150,7 +154,9 @@ def quantize(s: TimeSeries) -> QuantizedSeries:
 
     The minimum sample maps to 0 and the maximum to 1.  A constant
     series has no usable range; it maps to all zeros and is flagged
-    degenerate so callers can report it.
+    degenerate so callers can report it.  A span beyond the float range
+    is halved with every term, which is exact for normal floats, so the
+    result is always finite.
     """
     values = s.values
     lo = float(values.min())
@@ -159,7 +165,10 @@ def quantize(s: TimeSeries) -> QuantizedSeries:
         out = np.zeros_like(values)
         out.setflags(write=False)
         return QuantizedSeries(out, lo, hi, degenerate=True)
-    out = (values - lo) / (hi - lo)
+    if math.isinf(hi - lo):
+        out = (values / 2 - lo / 2) / (hi / 2 - lo / 2)
+    else:
+        out = (values - lo) / (hi - lo)
     out.setflags(write=False)
     return QuantizedSeries(out, lo, hi)
 
@@ -198,7 +207,9 @@ def check_cost_range(s: TimeSeries, q: TimeSeries) -> None:
     A warping path has at most n + m - 1 cells and each local cost is
     at most span**2, span being the largest minus the smallest sample
     over both series; while that product is finite no accumulated cost
-    can overflow, so an infinite cost always means "unreachable".
+    can overflow, so an infinite cost always means "unreachable".  This
+    is the library's one overflow guard: no kernel silences a
+    floating-point warning.
     """
     lo = min(float(s.values.min()), float(q.values.min()))
     hi = max(float(s.values.max()), float(q.values.max()))
@@ -284,20 +295,16 @@ def sweep_diagonals(
     # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
     steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
     best = np.empty(width - 1)
-    # ``check_cost_range`` keeps path costs finite, but sparse's fill
-    # squares 0 against a sample in off-matrix slots before setting them
-    # to inf, which overflows on [1e200] * 4 against [1e200] * 3.
-    with np.errstate(over="ignore"):
-        for d0 in range(0, diags, block):
-            k = min(block, diags - d0)
-            swept = rows[2 : k + 2]
-            fill(d0, swept)
-            for c, l, u, g in steps[:k]:
-                np.minimum(l, u, out=best)
-                np.minimum(best, g, out=best)
-                np.add(c, best, out=c)
-            yield rows[: k + 2]
-            rows[:2] = rows[k : k + 2]
+    for d0 in range(0, diags, block):
+        k = min(block, diags - d0)
+        swept = rows[2 : k + 2]
+        fill(d0, swept)
+        for c, l, u, g in steps[:k]:
+            np.minimum(l, u, out=best)
+            np.minimum(best, g, out=best)
+            np.add(c, best, out=c)
+        yield rows[: k + 2]
+        rows[:2] = rows[k : k + 2]
 
 
 def backtrack_path(

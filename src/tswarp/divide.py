@@ -28,7 +28,6 @@ from .core import (
     check_cost_range,
     dense_columns,
     local_distance,
-    normalized_distance,
     sweep_diagonals,
 )
 
@@ -265,7 +264,6 @@ def dc_align(
     return DCAlignmentResult(
         path=path,
         raw_cost=raw,
-        normalized_distance=normalized_distance(raw, path.K),
         computed_cells=stats.computed_cells,
         elapsed=elapsed,
         algorithm_params={"algorithm": "dc", "mid_mode": mid_mode},

@@ -19,7 +19,6 @@ from .core import (
     backtrack_path,
     check_cost_range,
     dense_columns,
-    normalized_distance,
 )
 
 __all__ = [
@@ -98,11 +97,9 @@ def dtw_full(
     D = cost_matrix(s, q)
     path = backtrack(D)
     elapsed = time.perf_counter() - start
-    raw = float(D.cells[n - 1, m - 1])
     return AlignmentResult(
         path=path,
-        raw_cost=raw,
-        normalized_distance=normalized_distance(raw, path.K),
+        raw_cost=float(D.cells[n - 1, m - 1]),
         computed_cells=n * m,
         elapsed=elapsed,
         algorithm_params={"algorithm": "full"},

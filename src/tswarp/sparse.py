@@ -42,7 +42,6 @@ from .core import (
     WarpingPath,
     check_cost_range,
     local_distance,
-    normalized_distance,
     quantize,
     step_codes,
     sweep_diagonals,
@@ -325,15 +324,21 @@ def populate(
     nb = len(bins)
     # Sample v lies in bin k when lows[k] <= v <= highs[k].  Both bounds
     # ascend, so v's bins are the contiguous range first..last found
-    # below, never empty for v in [0, 1], and the rows it opens are
-    # those whose samples fall in [lows[first], highs[last]].  Columns
-    # are grouped by range, and each group shares one mask.
+    # below, never empty for v in [0, 1], and two samples share a bin
+    # when their ranges overlap.  Columns are grouped by range, and each
+    # group shares one mask.  The ranges are compared in the narrowest
+    # dtype, for which numpy buffers the broadcast least.
     lows, highs = np.array(bins.bins).T
-    first = np.searchsorted(highs, qv, side="left")
-    last = np.searchsorted(lows, qv, side="right") - 1
+    small = np.min_scalar_type(nb)
+
+    def bin_range(v):
+        return np.searchsorted(highs, v, side="left"), np.searchsorted(lows, v, side="right") - 1
+
+    s_first, s_last = (x.astype(small) for x in bin_range(sv))
+    first, last = bin_range(qv)
     keys, col_key = np.unique(first * nb + last, return_inverse=True)
-    first, last = np.divmod(keys, nb)
-    rows = (sv >= lows[first][:, None]) & (sv <= highs[last][:, None])
+    first, last = (x.astype(small)[:, None] for x in np.divmod(keys, nb))
+    rows = (s_first <= last) & (s_last >= first)
     masks = _ints(np.packbits(rows, axis=1, bitorder="little"))
     col_bin = list(map(masks.__getitem__, col_key.tolist()))
     col_bin[0] |= 1
@@ -440,10 +445,12 @@ def _sweep(
     wide = m > n
     size = min(n, m)
     down, across = samples[::-1] if wide else samples
-    # Each slot's samples: down_diag[d, c + 1] = down[d - c] (0 off the
-    # matrix) down the swept rows, across_slots[c + 1] = across[c]; the
-    # samples run backward in ``padded``, so a row of slots is contiguous.
-    pad = np.zeros(size + 1)
+    # Each slot's samples: down_diag[d, c + 1] = down[d - c] (NaN off the
+    # matrix) down the swept rows, across_slots[c + 1] = across[c] (NaN
+    # in slot 0); the samples run backward in ``padded``, so a row of
+    # slots is contiguous.  NaN arithmetic sets no floating-point flag,
+    # and ``fill`` turns every closed slot into inf.
+    pad = np.full(size + 1, np.nan)
     padded = np.concatenate([pad, down[::-1], pad[:size]])
     step = padded.itemsize
     down_diag = np.ndarray(
@@ -514,18 +521,15 @@ def _sparse_dtw(
     s: TimeSeries, q: TimeSeries, res: float
 ) -> tuple[AlignmentResult, SparseMatrix]:
     """``sparse_dtw`` plus the filled matrix it aligned over."""
-    check_cost_range(s, q)
     start = time.perf_counter()
     bins = build_bins(res)
     sm = populate(quantize(s), quantize(q), bins, s, q)
     forward_pass(sm, s, q)
     path = sparse_backtrack(sm)
     elapsed = time.perf_counter() - start
-    raw = sm.cost
     result = AlignmentResult(
         path=path,
-        raw_cost=raw,
-        normalized_distance=normalized_distance(raw, path.K),
+        raw_cost=sm.cost,
         computed_cells=sm.open_count,
         elapsed=elapsed,
         algorithm_params={"algorithm": "sparse", "res": res},

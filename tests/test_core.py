@@ -75,6 +75,12 @@ class TestQuantize:
         assert out.values.tolist() == [0.0, 0.0, 0.0]
         assert out.degenerate
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_the_float_range(self):
+        out = quantize(TimeSeries("w", [1.7e308, -1.7e308, 0.0]))
+        assert out.values.tolist() == [1.0, 0.0, 0.5]
+        assert (out.source_min, out.source_max) == (-1.7e308, 1.7e308)
+
     @given(st.lists(finite_floats, min_size=1, max_size=50))
     def test_range_is_unit_interval(self, xs):
         out = quantize(TimeSeries("h", xs))

@@ -10,7 +10,9 @@ from tswarp import (
     SyntheticSpec,
     TimeSeries,
     build_bins,
+    dc_align,
     dtw_full,
+    forward_space_efficient,
     generate_pair,
     lower_neighbors,
     quantize,
@@ -214,11 +216,15 @@ class TestSparseDtw:
     @pytest.mark.filterwarnings("error")
     def test_off_matrix_squares_overflow_without_a_warning(self):
         # Span 0, so the cost range check accepts the pair and the cost
-        # is 0, but the sweep squares 0 against 1e200 off the matrix.
+        # is 0, but the anti-diagonal sweeps reach past the matrix, where
+        # squaring a pad against 1e200 could overflow.
         for n, m in [(4, 3), (3, 4)]:
-            _, sm = _sparse_dtw(TimeSeries("s", [1e200] * n), TimeSeries("q", [1e200] * m), 0.5)
+            s, q = TimeSeries("s", [1e200] * n), TimeSeries("q", [1e200] * m)
+            _, sm = _sparse_dtw(s, q, 0.5)
             assert sm.cost == 0.0
             assert sm.col_vals[-1][-1] == 0.0  # the cost sweep run again
+            assert dc_align(s, q).raw_cost == 0.0
+            assert forward_space_efficient(s, q)[-1] == 0.0
 
     def test_peak_memory_per_open_cell(self):
         # The forward pass keeps a one-byte step code per open cell, not
@@ -237,6 +243,20 @@ class TestSparseDtw:
             finally:
                 tracemalloc.stop()
             assert peak < bound * r.computed_cells, (L, peak / r.computed_cells)
+
+    def test_populate_peak_memory(self):
+        # Bin ranges compared as small integers: about 1 B per matrix
+        # cell, where float64 sample comparisons against bin bounds
+        # buffered 3.3 B.
+        s, q = generate_pair(SyntheticSpec(120, 0.0, 7))
+        sq, qq, bins = quantize(s), quantize(q), build_bins(0.1)
+        tracemalloc.start()
+        try:
+            populate(sq, qq, bins, s, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(s) * len(q), peak
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):

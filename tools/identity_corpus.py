@@ -18,15 +18,17 @@ The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
 of a 64-bit word) x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
 strongly non-square generated pairs, eight pairs whose samples all sit
-on the bin bounds of one of the four resolutions, an overflowing pair
-and a constant pair.  Each pair runs through full, dc (ceil, and floor
+on the bin bounds of one of the four resolutions, an overflowing pair,
+a pair whose first series spans more than the float range and a
+constant pair.  Each pair runs through full, dc (ceil, and floor
 on small pairs), band at seven widths (narrow ones disconnect on
 non-square pairs), band at the least connecting width and one below it
 (when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
-public stage functions.  A record holds raw costs as float.hex, paths, cell counts,
-dc splits and SpaceStats, sparse matrix contents, or the error type and
-message.  The ``cli`` records run ``tswarp.cli.main`` on a few corpus
-pairs written to files: ``align`` with every algorithm and
+public stage functions, and both series through ``quantize``.  A
+record holds raw costs as float.hex, paths, cell counts, dc splits and
+SpaceStats, sparse matrix contents, quantized samples as float.hex, or
+the error type and message.  The ``cli`` records run ``tswarp.cli.main``
+on a few corpus pairs written to files: ``align`` with every algorithm and
 ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
 holds the exit code, stdout and stderr, with ``elapsed_ms`` dropped
@@ -110,6 +112,7 @@ def _pairs(tw, np):
             a[:2] = b[-2:] = 0.0, 1.0
             yield f"edge{res}-{seed}", tw.TimeSeries("a", a), tw.TimeSeries("b", b)
     yield "overflow", tw.TimeSeries("s", [1e200, -1e200, 0]), tw.TimeSeries("q", [0, 1e200, 3])
+    yield "infinite-span", tw.TimeSeries("s", [1.7e308, -1.7e308, 0]), tw.TimeSeries("q", [0, 1e200, 3])
     yield "constant", tw.TimeSeries("s", [0.0] * 5), tw.TimeSeries("q", [0.0] * 3)
 
 
@@ -251,6 +254,9 @@ def dump(src: str, out_path: str) -> None:
             "bwd": [x.hex() for x in backward_space_efficient(s, q)],
         }
 
+    def quantized(s, q):
+        return {k: [x.hex() for x in tw.quantize(t).values.tolist()] for k, t in (("s", s), ("q", q))}
+
     out = {}
     for name, s, q in _pairs(tw, np):
         n, m = len(s), len(q)
@@ -258,6 +264,7 @@ def dump(src: str, out_path: str) -> None:
             "full": _guarded(lambda: _record(tw.dtw_full(s, q))),
             "dc": _guarded(lambda: _record(tw.dc_align(s, q))),
             "dense-stages": _guarded(lambda: dense(s, q)),
+            "quantize": _guarded(lambda: quantized(s, q)),
         }
         if n * m <= 400:
             r["dc-floor"] = _guarded(lambda: _record(tw.dc_align(s, q, mid_mode="floor")))
