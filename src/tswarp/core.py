@@ -285,10 +285,11 @@ def sweep_diagonals(
     For each block, ``fill(d0, rows)`` writes the local costs of
     diagonals d0 .. d0 + len(rows) - 1 into ``rows``: inf in every pad
     slot and for every closed or off-matrix cell, so that such a slot
-    ends inf whatever its neighbors hold.  The rows are then swept in
-    place and yielded after their two carry rows, diagonals d0 - 2 and
-    d0 - 1, valid until the next block.  The rows are whole so that
-    numpy runs each step over one contiguous buffer.
+    ends inf whatever its neighbors hold, by arithmetic that cannot
+    overflow, since no floating-point warning is silenced.  The rows
+    are then swept in place and yielded after their two carry rows,
+    diagonals d0 - 2 and d0 - 1, valid until the next block.  The rows
+    are whole so that numpy runs each step over one contiguous buffer.
     """
     rows = np.full((block + 2, width), _INF)
     rows[0, origins] = 0.0
