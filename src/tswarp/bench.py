@@ -13,7 +13,7 @@ from typing import Callable, Iterable, TextIO
 import numpy as np
 
 from .core import AlignmentResult, TimeSeries, validate_path
-from .full import DENSE_CELL_BUDGET, dtw_full
+from .divide import forward_space_efficient
 
 __all__ = [
     "SyntheticSpec",
@@ -168,8 +168,11 @@ def load_series(path: str | Path, fmt: str = "auto") -> list[TimeSeries]:
     skipped; the whole file is one series named after the file.
     ``csv``: one series per row, with an optional non-numeric first
     column used as the label (UCR-style).  ``auto`` picks csv when the
-    first data line contains a comma.
+    first data line contains a comma.  Any other ``fmt`` raises
+    ``ValueError``.
     """
+    if fmt not in ("auto", "plain", "csv"):
+        raise ValueError(f"fmt must be 'auto', 'plain' or 'csv', got {fmt!r}")
     path = Path(path)
     try:
         text = path.read_text()
@@ -225,26 +228,24 @@ def run_benchmark(
     pairs: Iterable[tuple[str, TimeSeries, TimeSeries]],
     algorithms: dict[str, Callable[[TimeSeries, TimeSeries], "object"]],
     repeats: int = 3,
-    check_optimal: bool = True,
 ) -> tuple[list[BenchRecord], list[str]]:
     """Run every algorithm over every pair.
 
     Returns the records plus a list of failure messages; one failing
     (dataset, algorithm) combination never aborts the rest of the
-    sweep.  ``optimal`` compares the raw cost against the dense
-    baseline when the pair fits the dense cell budget, else reports
-    ``unknown``; a pair whose baseline fails records that failure once
-    per algorithm.
+    sweep.  ``optimal`` compares the raw cost against the exact optimum
+    of a linear-space sweep with the shorter series across its slots; a
+    pair whose optimum fails (costs that could overflow) records that
+    failure once per algorithm.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     records: list[BenchRecord] = []
     failures: list[str] = []
     for name, s, q in pairs:
-        optimum = None
+        longer, shorter = (s, q) if len(s) >= len(q) else (q, s)
         try:
-            if check_optimal and len(s) * len(q) <= DENSE_CELL_BUDGET:
-                optimum = dtw_full(s, q).raw_cost
+            optimum = forward_space_efficient(longer, shorter)[-1]
         except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
             failures += [f"{name}/{algo}: {exc}" for algo in algorithms]
             continue

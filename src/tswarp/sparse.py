@@ -138,7 +138,7 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseMatrix:
     """Open cells of the warping matrix, as bitmasks (Python ints).
 
@@ -315,11 +315,22 @@ def populate(
     constraint puts them on every path, and bin membership alone does
     not guarantee the two endpoint samples share a bin.  Raises
     ``CostOverflowError`` when path costs over ``s`` and ``q`` could
-    overflow.
+    overflow, and ``ValueError`` when a quantized series is not as long
+    as its series or holds a sample outside [0, 1] or NaN, which the bin
+    ranges below would misread.
     """
     check_cost_range(s, q)
     sv = np.asarray(sq.values)
     qv = np.asarray(qq.values)
+    if (sv.size, qv.size) != (len(s), len(q)):
+        raise ValueError(
+            f"quantized lengths {sv.size} x {qv.size} differ from the series' "
+            f"{len(s)} x {len(q)}"
+        )
+    for v in (sv, qv):
+        # NaN fails both comparisons.
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            raise ValueError("quantized samples must lie in [0, 1]")
     n = sv.size
     nb = len(bins)
     # Sample v lies in bin k when lows[k] <= v <= highs[k].  Both bounds
@@ -358,9 +369,12 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     opened this way are visited later in the same sweep.  The matrix
     keeps, per open cell, the step code of the lower neighbor that its
     cost came from, and the cost at (n, m); the other costs are dropped.
+    Raises ``ValueError`` when ``s`` and ``q`` do not span the matrix.
     """
     n = sm.n
     m = sm.m
+    if (len(s), len(q)) != (n, m):
+        raise ValueError(f"series of {len(s)} x {len(q)} samples for a {n} x {m} matrix")
     col_bin = sm.col_bin
     full = (1 << n) - 1
     # --- Pass 1: unblocking closure (open/closed status only). ---

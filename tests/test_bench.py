@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tswarp import (
+    BandSpec,
     SyntheticSpec,
     TimeSeries,
+    WarpingPath,
+    dtw_band,
     dtw_full,
     generate_pair,
     load_series,
@@ -106,6 +111,19 @@ class TestLoadSeries:
         out = load_series(f, fmt="csv")
         assert len(out) == 3
 
+    @pytest.mark.parametrize("fmt", ["xml", "PLAIN"])
+    def test_unknown_format_rejected(self, tmp_path, fmt):
+        f = tmp_path / "data.txt"
+        f.write_text("1\n2\n3\n")
+        with pytest.raises(ValueError, match="'auto', 'plain' or 'csv'"):
+            load_series(f, fmt=fmt)
+
+    def test_label_without_samples(self, tmp_path):
+        f = tmp_path / "rows.csv"
+        f.write_text("gun,1,2\npoint\n")
+        with pytest.raises(DataFormatError, match=r"rows\.csv:2: empty series"):
+            load_series(f)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_series(tmp_path / "nope.txt")
@@ -173,12 +191,22 @@ class TestRunBenchmark:
         ]
         assert all("overflow" in f.split(":", 1)[1] for f in failures)
 
-    def test_optimal_unknown_without_check(self, small_pairs):
-        algos = {"full": lambda s, q: dtw_full(s, q)}
-        records, _ = run_benchmark(
-            small_pairs, algos, repeats=1, check_optimal=False
-        )
-        assert all(r.optimal == "unknown" for r in records)
+    def test_verdict_above_the_dense_budget(self):
+        # 4,001 x 4,001 cells is past dtw_full's budget; the optimum
+        # comes from the linear-space sweep.
+        zeros = TimeSeries("z", np.zeros(4001))
+        band = {"band": lambda s, q: dtw_band(s, q, BandSpec(0))}
+        records, failures = run_benchmark([("zeros", zeros, zeros)], band, repeats=1)
+        assert not failures
+        assert [(r.raw_cost, r.optimal) for r in records] == [(0.0, "yes")]
+
+    def test_invalid_path_is_a_failure(self, small_pairs):
+        def truncated(s, q):
+            return replace(dtw_full(s, q), path=WarpingPath([(1, 1)]))
+
+        records, failures = run_benchmark(small_pairs[:1], {"cut": truncated}, repeats=1)
+        assert records == []
+        assert failures == ["pair-0/cut: invalid path (boundary violation)"]
 
     def test_rejects_zero_repeats(self, small_pairs):
         with pytest.raises(ValueError):

@@ -95,6 +95,12 @@ class TestAlign:
         assert main(["align", str(z), str(z)]) == 3
         assert "dense matrix needs 16008001 cells" in capsys.readouterr().err
 
+    def test_two_series_file_exits_two(self, tmp_path, pair_files, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("1,2,3\n4,5,6\n")
+        assert main(["align", str(rows), pair_files[1]]) == 2
+        assert "expected exactly one series, found 2" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["align", str(tmp_path / "no.txt"),
                      str(tmp_path / "pe.txt")]) == 2
@@ -197,6 +203,11 @@ class TestBench:
         assert captured.err.startswith(f"error: cannot write {target}")
         assert "failed:" not in captured.err
         assert captured.out == ""
+
+    def test_unknown_algorithm_is_usage_error(self, capsys):
+        assert main(["bench", "--lengths", "16", "--rhos", "0.5",
+                     "--algos", "quantum"]) == 1
+        assert "unknown algorithm 'quantum'" in capsys.readouterr().err
 
     def test_band_widths_sweep(self, tmp_path):
         out = tmp_path / "b.csv"

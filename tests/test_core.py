@@ -13,7 +13,7 @@ from tswarp import (
     quantize,
     validate_path,
 )
-from tswarp.core import backtrack_path, step_codes
+from tswarp.core import BrokenPathError, backtrack_path, step_codes
 
 INF = float("inf")
 
@@ -172,6 +172,13 @@ def _first_hop(grid: dict, i: int, j: int) -> tuple[int, int]:
         return 0.0
 
     return backtrack_path(cost, i, j)[-2]
+
+
+def test_backtrack_with_no_open_lower_neighbor_is_broken():
+    # Only the corners and (1, 2) are open: (3, 3) has no open neighbor below.
+    open_cells = {(1, 1): 0.0, (1, 2): 1.0, (3, 3): 2.0}
+    with pytest.raises(BrokenPathError, match=r"no open lower neighbor at cell \(3, 3\)"):
+        backtrack_path(lambda i, j: open_cells.get((i, j)), 3, 3)
 
 
 class TestStepCodes:

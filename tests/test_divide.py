@@ -33,9 +33,7 @@ class TestSpaceEfficientSweeps:
         for _ in range(20):
             s, q = random_pair(rng, max_len=12, min_len=1)
             dense = cost_matrix(s, q).cells[:, -1]
-            assert forward_space_efficient(s, q) == pytest.approx(
-                dense.tolist()
-            )
+            assert forward_space_efficient(s, q) == dense.tolist()
 
     def test_backward_matches_reversed_dense(self):
         rng = np.random.default_rng(14)
@@ -45,26 +43,40 @@ class TestSpaceEfficientSweeps:
                 TimeSeries("rs", s.values[::-1]),
                 TimeSeries("rq", q.values[::-1]),
             ).cells[:, -1][::-1]
-            assert backward_space_efficient(s, q) == pytest.approx(
-                rev.tolist()
-            )
+            assert backward_space_efficient(s, q) == rev.tolist()
 
 
 samples = st.floats(min_value=-100, max_value=100, allow_nan=False) | st.sampled_from(
     [0.0, 1.0, -1.0]
 )
 sides = st.integers(1, 40)
-problem = st.one_of(
-    st.tuples(sides, sides),
-    st.tuples(st.just(1), sides),
-    st.tuples(sides, st.just(1)),
-    st.tuples(st.integers(20, 40), st.integers(1, 4)),
-).flatmap(
-    lambda nm: st.tuples(
-        st.lists(samples, min_size=nm[0], max_size=nm[0]),
-        st.lists(samples, min_size=nm[1], max_size=nm[1]),
+
+
+def _problems(values):
+    """Pairs of lists of ``values``, square, one-sample and strongly
+    non-square."""
+    return st.one_of(
+        st.tuples(sides, sides),
+        st.tuples(st.just(1), sides),
+        st.tuples(sides, st.just(1)),
+        st.tuples(st.integers(20, 40), st.integers(1, 4)),
+    ).flatmap(
+        lambda nm: st.tuples(
+            st.lists(values, min_size=nm[0], max_size=nm[0]),
+            st.lists(values, min_size=nm[1], max_size=nm[1]),
+        )
     )
-)
+
+
+problem = _problems(samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem | _problems(st.integers(-2, 2)))
+def test_last_cost_is_the_optimum_in_either_orientation(pair):
+    s, q = TimeSeries("s", pair[0]), TimeSeries("q", pair[1])
+    want = dtw_full(s, q).raw_cost
+    assert forward_space_efficient(s, q)[-1] == forward_space_efficient(q, s)[-1] == want
 
 
 class TestLevelBatch:

@@ -20,7 +20,7 @@ from tswarp import (
     upper_neighbors,
     validate_path,
 )
-from tswarp.core import backtrack_path
+from tswarp.core import QuantizedSeries, backtrack_path
 from tswarp.sparse import _sparse_dtw, dump_lines, forward_pass, populate, sparse_backtrack
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
@@ -520,3 +520,71 @@ class TestRunCompressedStorage:
             if j == m - 1:
                 forced.add(n - 1)
             assert col == sorted(binned | forced)
+
+
+def _quantized(values):
+    return QuantizedSeries(np.array(values, dtype=float), 0.0, 1.0)
+
+
+class TestStagedInputs:
+    S3 = TimeSeries("s", [0.0, 0.5, 1.0])
+    Q3 = TimeSeries("q", [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize(
+        "sv, qv, match",
+        [
+            ([-0.5, 0.5, 1.0], [0.0, 0.5, 1.0], r"\[0, 1\]"),
+            ([0.0, 0.5, 1.0], [0.0, 1.6, 1.0], r"\[0, 1\]"),
+            ([0.0, float("nan"), 1.0], [0.0, 0.5, 1.0], r"\[0, 1\]"),
+            ([0.0, 1.0], [0.0, 0.5, 1.0], "quantized lengths 2 x 3"),
+            ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.0], "quantized lengths 3 x 4"),
+        ],
+        ids=["s-below-0", "q-above-1", "s-nan", "s-short", "q-long"],
+    )
+    def test_populate_refuses_samples_it_would_misread(self, sv, qv, match):
+        with pytest.raises(ValueError, match=match):
+            populate(_quantized(sv), _quantized(qv), build_bins(0.5), self.S3, self.Q3)
+
+    @pytest.mark.parametrize("n, m", [(5, 3), (4, 2)])
+    def test_forward_pass_refuses_series_that_do_not_span_the_matrix(self, n, m):
+        s = TimeSeries("s", [0.0, 1.0, 0.0, 1.0])
+        q = TimeSeries("q", [0.0, 1.0, 0.0])
+        sm = populate(quantize(s), quantize(q), build_bins(0.5), s, q)
+        wrong = TimeSeries("s", np.arange(n, dtype=float)), TimeSeries("q", np.arange(m, dtype=float))
+        with pytest.raises(ValueError, match=f"series of {n} x {m} samples for a 4 x 3 matrix"):
+            forward_pass(sm, *wrong)
+
+
+class TestBeforeForwardPass:
+    @pytest.fixture
+    def sm(self):
+        return populate(
+            quantize(S_FIXTURE), quantize(Q_FIXTURE), build_bins(0.5),
+            S_FIXTURE, Q_FIXTURE,
+        )
+
+    def test_views_and_queries_read_the_bin_opened_cells(self, sm):
+        assert sm.col_open_rows is None
+        assert sm.col_vals is None
+        rows = sm.col_rows
+        assert sm.open_count == sum(map(len, rows)) == len(sm.open_cells())
+        for j in range(1, 6):
+            for i in range(1, 6):
+                assert sm.is_open(i, j) == (i - 1 in rows[j - 1])
+
+    def test_costs_and_path_need_the_forward_pass(self, sm):
+        with pytest.raises(RuntimeError, match="forward pass has not run"):
+            sm.accumulated(1, 1)
+        with pytest.raises(RuntimeError, match="forward pass has not run"):
+            sparse_backtrack(sm)
+
+    def test_dump_leaves_the_accumulated_field_empty(self, sm):
+        lines = dump_lines(sm, S_FIXTURE, Q_FIXTURE)
+        assert len(lines) == sm.open_count
+        assert all(ln.split(",")[4] == "" for ln in lines)
+
+
+def test_sparse_matrix_equality_is_identity():
+    a, b = (_filled(S_FIXTURE, Q_FIXTURE, 0.5) for _ in range(2))
+    assert a == a
+    assert a != b

@@ -27,7 +27,12 @@ non-square pairs), band at the least connecting width and one below it
 public stage functions, and both series through ``quantize``.  A
 record holds raw costs as float.hex, paths, cell counts, dc splits and
 SpaceStats, sparse matrix contents, quantized samples as float.hex, or
-the error type and message.  The ``cli`` records run ``tswarp.cli.main``
+the error type and message.  The ``bench`` records hold
+``run_benchmark``'s rows (``elapsed_ms`` dropped) and failures for
+full, dc, band at width 2 and sparse at res 0.25 on the CLI pairs below
+and the four strongly non-square pairs, and for band at width 0 on
+zeros 4,001 x 4,001, a pair past the dense cell budget.  The ``cli``
+records run ``tswarp.cli.main``
 on a few corpus pairs written to files: ``align`` with every algorithm and
 ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
@@ -118,6 +123,14 @@ def _pairs(tw, np):
 
 _CLI_PAIRS = ("tie3", "tie1", "tie5", "rnd5", "gen60-0.95-7", "gen90x37", "edge0.5-1",
               "overflow", "constant")
+_BENCH_PAIRS = _CLI_PAIRS + ("gen250x40", "gen40x250", "gen37x90")
+
+
+def _bench(tw, name, s, q, algorithms):
+    """``run_benchmark``'s rows, without ``elapsed_ms``, and failures."""
+    records, failures = tw.run_benchmark([(name, s, q)], algorithms, repeats=1)
+    rows = [{k: v for k, v in r.cells().items() if k != "elapsed_ms"} for r in records]
+    return {"rows": rows, "failures": failures}
 
 
 def _cli_output(argv, code, out, err, tmp):
@@ -257,6 +270,12 @@ def dump(src: str, out_path: str) -> None:
     def quantized(s, q):
         return {k: [x.hex() for x in tw.quantize(t).values.tolist()] for k, t in (("s", s), ("q", q))}
 
+    algorithms = {
+        "full": tw.dtw_full,
+        "dc": tw.dc_align,
+        "band2": lambda s, q: tw.dtw_band(s, q, tw.BandSpec(2)),
+        "sparse0.25": lambda s, q: tw.sparse_dtw(s, q, res=0.25),
+    }
     out = {}
     for name, s, q in _pairs(tw, np):
         n, m = len(s), len(q)
@@ -277,7 +296,12 @@ def dump(src: str, out_path: str) -> None:
         for res in (0.1, 0.25, 0.5, 1.0):
             r[f"sparse{res}"] = _guarded(lambda: _record(tw.sparse_dtw(s, q, res=res)))
             r[f"stages{res}"] = _guarded(lambda: stages(s, q, res))
+        if name in _BENCH_PAIRS:
+            r["bench"] = _guarded(lambda: _bench(tw, name, s, q, algorithms))
         out[name] = r
+    zeros = tw.TimeSeries("z", np.zeros(4001))
+    band0 = {"band0": lambda s, q: tw.dtw_band(s, q, tw.BandSpec(0))}
+    out["zeros4001"] = {"bench": _guarded(lambda: _bench(tw, "zeros4001", zeros, zeros, band0))}
     out["cli"] = _cli(tw, np, main)
     with open(out_path, "w") as fh:
         json.dump(out, fh, sort_keys=True)
