@@ -32,9 +32,8 @@ the error type and message.  The ``bench`` records hold
 full, dc, band at width 2 and sparse at res 0.25 on the CLI pairs below
 and the four strongly non-square pairs, and for band at width 0 on
 zeros 4,001 x 4,001, a pair past the dense cell budget.  The ``cli``
-records run ``tswarp.cli.main``
-on a few corpus pairs written to files: ``align`` with every algorithm and
-``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
+records run ``tswarp.cli.main`` on a few corpus pairs written to
+files: ``align`` with every algorithm and ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
 holds the exit code, stdout and stderr, with ``elapsed_ms`` dropped
 (the table's elapsed cell after splitting rows on runs of two or more
