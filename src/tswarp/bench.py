@@ -12,7 +12,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .core import AlignmentResult, TimeSeries, validate_path
+from .core import AlignmentResult, TimeSeries, check_cost_range, validate_path
 from .divide import forward_space_efficient
 
 __all__ = [
@@ -228,26 +228,27 @@ def run_benchmark(
     pairs: Iterable[tuple[str, TimeSeries, TimeSeries]],
     algorithms: dict[str, Callable[[TimeSeries, TimeSeries], "object"]],
     repeats: int = 3,
-) -> tuple[list[BenchRecord], list[str]]:
+) -> tuple[list[BenchRecord], list[tuple[str, str, str]]]:
     """Run every algorithm over every pair.
 
-    Returns the records plus a list of failure messages; one failing
-    (dataset, algorithm) combination never aborts the rest of the
-    sweep.  ``optimal`` compares the raw cost against the exact optimum
-    of a linear-space sweep with the shorter series across its slots; a
-    pair whose optimum fails (costs that could overflow) records that
-    failure once per algorithm.
+    Returns the records plus the failures, each a (dataset, algorithm,
+    message) triple; one failing (dataset, algorithm) combination never
+    aborts the rest of the sweep.  ``optimal`` compares the raw cost
+    against the exact optimum of a linear-space sweep with the shorter
+    series across its slots; a pair whose costs could overflow records
+    that failure once per algorithm, naming n and m as given.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     records: list[BenchRecord] = []
-    failures: list[str] = []
+    failures: list[tuple[str, str, str]] = []
     for name, s, q in pairs:
         longer, shorter = (s, q) if len(s) >= len(q) else (q, s)
         try:
+            check_cost_range(s, q)
             optimum = forward_space_efficient(longer, shorter)[-1]
         except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
-            failures += [f"{name}/{algo}: {exc}" for algo in algorithms]
+            failures += [(name, algo, str(exc)) for algo in algorithms]
             continue
         for algo, fn in algorithms.items():
             try:
@@ -268,7 +269,7 @@ def run_benchmark(
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
-                failures.append(f"{name}/{algo}: {exc}")
+                failures.append((name, algo, str(exc)))
     return records, failures
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error or an output
 file that cannot be written, 3 algorithm failure (band disconnection,
-cost overflow, sparse connectivity diagnostic, budget exhaustion).
+cost overflow, sparse connectivity diagnostic, budget exhaustion).  The
+rows and optimal verdicts of compare and bench all come from one
+run_benchmark call, and both exit 3 only when no algorithm produced a row.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable, Iterator, TextIO
 from .band import BandSpec, dtw_band
 from .bench import (
     CSV_HEADER,
-    BenchRecord,
     DataFormatError,
     SyntheticSpec,
     generate_pair,
@@ -136,22 +137,19 @@ def _cmd_compare(args) -> int:
     s = _load_one(args.series_a)
     q = _load_one(args.series_b)
     width = args.width if args.width is not None else max(len(s), len(q))
-    optimum = None
+    algos = ("full", "band", "dc", "sparse")
+    records, failures = run_benchmark(
+        [("", s, q)], {a: _aligner(a, args, width) for a in algos}, repeats=1
+    )
+    failed = {algo: message for _, algo, message in failures}
     rows = []
     table = [_COMPARE_COLUMNS]
-    for algo in ("full", "band", "dc", "sparse"):
-        try:
-            result = _aligner(algo, args, width)(s, q)
-        except Exception as exc:  # noqa: BLE001 - rendered in-row
-            error = {"algorithm": algo, "error": str(exc), "optimal": "unknown"}
-            rows.append(error)
-            table.append([algo] + ["-"] * 5 + [f"failed: {exc}"])
+    for algo in algos:
+        if algo in failed:
+            rows.append(dict(algorithm=algo, error=failed[algo], optimal="unknown"))
+            table.append([algo] + ["-"] * 5 + [f"failed: {failed[algo]}"])
             continue
-        if algo == "full":
-            optimum = result.raw_cost
-        record = BenchRecord.from_result(
-            "", algo, result, len(s), len(q), result.elapsed, optimum
-        )
+        record = next(r for r in records if r.algorithm == algo)
         shown = {c: getattr(record, c) for c in _COMPARE_COLUMNS}
         rows.append(shown | {"elapsed_ms": round(record.elapsed_ms, 3)})
         cells = record.cells()
@@ -165,7 +163,7 @@ def _cmd_compare(args) -> int:
         ]
         for r in table:
             print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return EXIT_OK if optimum is not None else EXIT_ALGORITHM
+    return EXIT_OK if records else EXIT_ALGORITHM
 
 
 def _cmd_gen(args) -> int:
@@ -197,11 +195,13 @@ def _cmd_bench(args) -> int:
             raise ValueError("--widths is required when benching band")
         for w in args.widths:
             algorithms[f"band-w{w}"] = _aligner(algo, args, w)
+    if args.repeats < 1:
+        raise ValueError("repeats must be >= 1")
     # The output is opened first, so that a bad path fails before the sweep.
     with _writing(args.out) if args.out else nullcontext(sys.stdout) as out:
         records, failures = run_benchmark(pairs, algorithms, repeats=args.repeats)
-        for failure in failures:
-            print(f"failed: {failure}", file=sys.stderr)
+        for name, algo, message in failures:
+            print(f"failed: {name}/{algo}: {message}", file=sys.stderr)
         write_csv(records, out)
     return EXIT_OK if records else EXIT_ALGORITHM
 

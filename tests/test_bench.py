@@ -5,6 +5,7 @@ import pytest
 
 from tswarp import (
     BandSpec,
+    CostOverflowError,
     SyntheticSpec,
     TimeSeries,
     WarpingPath,
@@ -176,7 +177,7 @@ class TestRunBenchmark:
         records, failures = run_benchmark(small_pairs, algos, repeats=1)
         assert len(records) == 2
         assert len(failures) == 2
-        assert all("boom" in f for f in failures)
+        assert [f[1:] for f in failures] == [("broken", "boom")] * 2
 
     def test_baseline_failure_is_isolated(self, small_pairs):
         overflow = ("overflow", TimeSeries("s", [1e200, -1e200, 0]),
@@ -186,10 +187,21 @@ class TestRunBenchmark:
             [overflow] + small_pairs, algos, repeats=1
         )
         assert len(records) == 4
-        assert [f.split(":")[0] for f in failures] == [
-            "overflow/full", "overflow/sparse"
+        assert [f[:2] for f in failures] == [
+            ("overflow", "full"), ("overflow", "sparse")
         ]
-        assert all("overflow" in f.split(":", 1)[1] for f in failures)
+        assert all("overflow" in message for _, _, message in failures)
+
+    def test_overflow_names_the_pair_as_given(self):
+        # The optimum sweeps (longer, shorter); the failure must still
+        # name n and m in the caller's order, as dtw_full does.
+        s = TimeSeries("s", [1e200, -1e200])
+        q = TimeSeries("q", [0, 1e200, 3])
+        with pytest.raises(CostOverflowError) as raised:
+            dtw_full(s, q)
+        assert "n=2, m=3" in str(raised.value)
+        _, failures = run_benchmark([("p", s, q)], {"full": dtw_full}, repeats=1)
+        assert failures == [("p", "full", str(raised.value))]
 
     def test_verdict_above_the_dense_budget(self):
         # 4,001 x 4,001 cells is past dtw_full's budget; the optimum
@@ -206,7 +218,7 @@ class TestRunBenchmark:
 
         records, failures = run_benchmark(small_pairs[:1], {"cut": truncated}, repeats=1)
         assert records == []
-        assert failures == ["pair-0/cut: invalid path (boundary violation)"]
+        assert failures == [("pair-0", "cut", "invalid path (boundary violation)")]
 
     def test_rejects_zero_repeats(self, small_pairs):
         with pytest.raises(ValueError):

@@ -4,6 +4,18 @@ import json
 
 import pytest
 
+import tswarp.cli
+from tswarp import (
+    BandSpec,
+    CostOverflowError,
+    MatrixBudgetError,
+    dc_align,
+    dtw_band,
+    dtw_full,
+    load_series,
+    run_benchmark,
+    sparse_dtw,
+)
 from tswarp.cli import main
 
 
@@ -129,6 +141,65 @@ class TestCompare:
         full_row = rows[0]
         assert full_row["optimal"] == "yes"
 
+    def test_rows_are_run_benchmarks_records(self, pair_files, capsys):
+        a, b = pair_files
+        assert main(["compare", a, b, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        (s,), (q,) = load_series(a), load_series(b)
+        algorithms = {
+            "full": dtw_full,
+            "band": lambda s, q: dtw_band(s, q, BandSpec(max(len(s), len(q)))),
+            "dc": dc_align,
+            "sparse": lambda s, q: sparse_dtw(s, q, res=0.5),
+        }
+        records, failures = run_benchmark([("", s, q)], algorithms, repeats=1)
+        assert failures == []
+        assert len(rows) == len(records) == 4
+        for row, record in zip(rows, records):
+            del row["elapsed_ms"]
+            assert row == {k: getattr(record, k) for k in row}
+
+    def test_rows_are_judged_when_full_fails(self, pair_files, capsys,
+                                             monkeypatch):
+        def over_budget(s, q):
+            raise MatrixBudgetError("dense matrix over budget")
+
+        monkeypatch.setattr(tswarp.cli, "dtw_full", over_budget)
+        a, b = pair_files
+        assert main(["compare", a, b, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0] == {"algorithm": "full",
+                           "error": "dense matrix over budget",
+                           "optimal": "unknown"}
+        assert [r["algorithm"] for r in rows[1:]] == ["band", "dc", "sparse"]
+        assert all(r["optimal"] in ("yes", "no") for r in rows[1:])
+
+    def test_overflow_fails_every_row_with_its_message(self, tmp_path, capsys):
+        s, q = tmp_path / "s.txt", tmp_path / "q.txt"
+        s.write_text("1e200\n-1e200\n")
+        q.write_text("0\n1e200\n3\n")
+        (s_series,), (q_series,) = load_series(s), load_series(q)
+        aligners = [
+            dtw_full,
+            lambda s, q: dtw_band(s, q, BandSpec(3)),
+            dc_align,
+            sparse_dtw,
+        ]
+        messages = []
+        for aligner in aligners:
+            with pytest.raises(CostOverflowError) as raised:
+                aligner(s_series, q_series)
+            messages.append(str(raised.value))
+        assert "n=2, m=3" in messages[0]
+        assert main(["compare", str(s), str(q), "--json"]) == 3
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["algorithm"], r["error"]) for r in rows] == list(
+            zip(["full", "band", "dc", "sparse"], messages)
+        )
+        assert main(["compare", str(s), str(q)]) == 3
+        lines = capsys.readouterr().out.splitlines()[1:]
+        for line, message in zip(lines, messages, strict=True):
+            assert line.endswith(f"failed: {message}")
 
     def test_band_failure_is_reported_in_row(self, tmp_path, capsys):
         main(["gen", "--len", "9", "--rho", "0.5", "--out",
@@ -186,6 +257,13 @@ class TestBench:
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["bench", "--lengths", "", "--rhos", "0.5"]) == 1
+
+    def test_zero_repeats_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--lengths", "16", "--rhos", "0.5",
+                     "--repeats", "0", "--out", str(out)]) == 1
+        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_band_needs_widths(self, capsys):
         assert main(["bench", "--lengths", "16", "--rhos", "0.5",

@@ -18,9 +18,10 @@ The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
 of a 64-bit word) x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
 strongly non-square generated pairs, eight pairs whose samples all sit
-on the bin bounds of one of the four resolutions, an overflowing pair,
-a pair whose first series spans more than the float range and a
-constant pair.  Each pair runs through full, dc (ceil, and floor
+on the bin bounds of one of the four resolutions, two overflowing
+pairs (3 x 3, and 2 x 3 so that a message naming n and m swapped
+shows), a pair whose first series spans more than the float range and
+a constant pair.  Each pair runs through full, dc (ceil, and floor
 on small pairs), band at seven widths (narrow ones disconnect on
 non-square pairs), band at the least connecting width and one below it
 (when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
@@ -31,7 +32,10 @@ the error type and message.  The ``bench`` records hold
 ``run_benchmark``'s rows (``elapsed_ms`` dropped) and failures for
 full, dc, band at width 2 and sparse at res 0.25 on the CLI pairs below
 and the four strongly non-square pairs, and for band at width 0 on
-zeros 4,001 x 4,001, a pair past the dense cell budget.  The ``cli``
+zeros 4,001 x 4,001, a pair past the dense cell budget.  Each failure
+is written as ``dataset/algorithm: message``, whether the version
+returns it as that string or as a (dataset, algorithm, message) triple,
+so that two versions compare equal across that change of type.  The ``cli``
 records run ``tswarp.cli.main`` on a few corpus pairs written to
 files: ``align`` with every algorithm and ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
@@ -116,19 +120,23 @@ def _pairs(tw, np):
             a[:2] = b[-2:] = 0.0, 1.0
             yield f"edge{res}-{seed}", tw.TimeSeries("a", a), tw.TimeSeries("b", b)
     yield "overflow", tw.TimeSeries("s", [1e200, -1e200, 0]), tw.TimeSeries("q", [0, 1e200, 3])
+    yield "overflow2x3", tw.TimeSeries("s", [1e200, -1e200]), tw.TimeSeries("q", [0, 1e200, 3])
     yield "infinite-span", tw.TimeSeries("s", [1.7e308, -1.7e308, 0]), tw.TimeSeries("q", [0, 1e200, 3])
     yield "constant", tw.TimeSeries("s", [0.0] * 5), tw.TimeSeries("q", [0.0] * 3)
 
 
 _CLI_PAIRS = ("tie3", "tie1", "tie5", "rnd5", "gen60-0.95-7", "gen90x37", "edge0.5-1",
-              "overflow", "constant")
+              "overflow", "overflow2x3", "constant")
 _BENCH_PAIRS = _CLI_PAIRS + ("gen250x40", "gen40x250", "gen37x90")
 
 
 def _bench(tw, name, s, q, algorithms):
-    """``run_benchmark``'s rows, without ``elapsed_ms``, and failures."""
+    """``run_benchmark``'s rows, without ``elapsed_ms``, and failures as
+    ``dataset/algorithm: message`` strings."""
     records, failures = tw.run_benchmark([(name, s, q)], algorithms, repeats=1)
     rows = [{k: v for k, v in r.cells().items() if k != "elapsed_ms"} for r in records]
+    # Versions before the failure triples return each failure as that string.
+    failures = [f if isinstance(f, str) else "{}/{}: {}".format(*f) for f in failures]
     return {"rows": rows, "failures": failures}
 
 
