@@ -8,6 +8,7 @@ the band.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -38,6 +39,10 @@ class BandSpec:
     width: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.width)
+        except TypeError:
+            raise ValueError(f"band width must be an integer, got {self.width!r}") from None
         if self.width < 0:
             raise ValueError("band width must be >= 0")
 
@@ -131,7 +136,7 @@ def dtw_band(s: TimeSeries, q: TimeSeries, band: BandSpec) -> AlignmentResult:
         k = i - first
         return costs[k] if 0 <= k < len(costs) else None
 
-    path = WarpingPath(backtrack_path(cost, n, m))
+    path = WarpingPath._of(tuple(backtrack_path(cost, n, m)))
     elapsed = time.perf_counter() - start
     return AlignmentResult(
         path=path,

@@ -72,7 +72,7 @@ class BenchRecord:
     elapsed_ms: float
     raw_cost: float
     normalized_distance: float
-    optimal: str  # "yes" | "no" | "unknown"
+    optimal: str  # "yes" | "no"
 
     @classmethod
     def from_result(
@@ -83,17 +83,12 @@ class BenchRecord:
         n: int,
         m: int,
         elapsed: float,
-        optimum: float | None,
+        optimum: float,
     ) -> BenchRecord:
         """The row of one result timed at ``elapsed`` seconds; ``optimal``
-        is whether its cost equals ``optimum`` to a relative 1e-9, and
-        ``unknown`` when that is None."""
-        if optimum is None:
-            optimal = "unknown"
-        elif abs(result.raw_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)):
-            optimal = "yes"
-        else:
-            optimal = "no"
+        is whether its cost equals ``optimum`` to a relative 1e-9."""
+        close = abs(result.raw_cost - optimum) <= 1e-9 * max(1.0, abs(optimum))
+        optimal = "yes" if close else "no"
         params = ";".join(
             f"{k}={v}"
             for k, v in sorted(result.algorithm_params.items())

@@ -31,7 +31,7 @@ from .bench import (
 from .core import AlignmentResult, TimeSeries
 from .divide import dc_align
 from .full import dtw_full
-from .sparse import _sparse_dtw, dump_lines, sparse_dtw
+from .sparse import _sparse_dtw, build_bins, dump_lines, sparse_dtw
 
 __all__ = ["main"]
 
@@ -94,20 +94,22 @@ def _aligner(
 ) -> Callable[[TimeSeries, TimeSeries], AlignmentResult]:
     """The library call that runs ``algo`` with the command's settings.
 
-    The band is built at call time, so a bad width fails the call, not
-    the binding.  ``bench`` has no ``--mid-mode``: dc runs at the ceil
-    midpoint there.
+    The band and the bins are built here, so that a bad width or
+    resolution is a usage error before any pair runs.  ``bench`` has no
+    ``--mid-mode``: dc runs at the ceil midpoint there.
     """
     if algo == "full":
         return dtw_full
     if algo == "band":
         if width is None:
             raise ValueError("--width is required for algo=band")
-        return lambda s, q: dtw_band(s, q, BandSpec(width))
+        band = BandSpec(width)
+        return lambda s, q: dtw_band(s, q, band)
     if algo == "dc":
         mid_mode = getattr(args, "mid_mode", "ceil")
         return lambda s, q: dc_align(s, q, mid_mode=mid_mode)
     if algo == "sparse":
+        build_bins(args.res)
         return lambda s, q: sparse_dtw(s, q, res=args.res)
     raise ValueError(f"unknown algorithm {algo!r}")
 

@@ -111,6 +111,14 @@ class WarpingPath:
             self, "steps", tuple((int(i), int(j)) for i, j in steps)
         )
 
+    @classmethod
+    def _of(cls, steps: tuple[tuple[int, int], ...]) -> WarpingPath:
+        """The path of ``steps`` as given, with no per-step copy: the
+        aligners build their steps as tuples of built-in ints."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
+
     @property
     def K(self) -> int:
         return len(self.steps)
@@ -293,14 +301,17 @@ def sweep_diagonals(
     """
     rows = np.full((block + 2, width), _INF)
     rows[0, origins] = 0.0
-    # Per diagonal: its slots, then its left, upper and diagonal neighbors'.
-    steps = list(zip(rows[2:, 1:], rows[1:-1, :-1], rows[1:-1, 1:], rows[:-2, :-1]))
+    # Per row, its slots but the last and its slots but the first: a
+    # cell's slot in its own row is one of the second, and its left,
+    # upper and diagonal neighbors' are the first and second of the row
+    # above and the first of the row two up.
+    heads = [row[:-1] for row in rows]
+    tails = [row[1:] for row in rows]
     best = np.empty(width - 1)
     for d0 in range(0, diags, block):
         k = min(block, diags - d0)
-        swept = rows[2 : k + 2]
-        fill(d0, swept)
-        for c, l, u, g in steps[:k]:
+        fill(d0, rows[2 : k + 2])
+        for c, l, u, g in zip(tails[2 : k + 2], heads[1:], tails[1:], heads):
             np.minimum(l, u, out=best)
             np.minimum(best, g, out=best)
             np.add(c, best, out=c)
@@ -373,8 +384,12 @@ def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
     # Diagonal first, then vertical, then horizontal, each by strict <.
     # The horizontal winners are merged as 2 by a maximum, not a masked
     # store, which branches per cell and is slower on irregular masks.
+    # They are found as two bool comparisons, so that no float
+    # temporary of the block's size is allocated.
     np.less(vert, diag, out=out[1:].view(bool))
-    horz_wins = (horz < np.minimum(diag, vert)).view(np.uint8)
+    horz_wins = horz < diag
+    horz_wins &= horz < vert
+    horz_wins = horz_wins.view(np.uint8)
     horz_wins += horz_wins
     np.maximum(out[1:], horz_wins, out=out[1:])
     return out.reshape(k, width)

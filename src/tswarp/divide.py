@@ -254,7 +254,7 @@ def dc_align(
     start = time.perf_counter()
     stats = SpaceStats()
     cells, splits = _solve(s.values, q.values, mid_mode, stats)
-    path = WarpingPath((i + 1, j + 1) for i, j in cells)
+    path = WarpingPath._of(tuple((i + 1, j + 1) for i, j in cells))
     raw = 0.0
     sv = s.values.tolist()
     qv = q.values.tolist()

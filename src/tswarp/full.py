@@ -77,7 +77,8 @@ def backtrack(D: CostMatrix) -> WarpingPath:
     predecessor (see ``core.backtrack_path``).
     """
     item = D.cells.item
-    return WarpingPath(backtrack_path(lambda i, j: item(i - 1, j - 1), D.n, D.m))
+    path = backtrack_path(lambda i, j: item(i - 1, j - 1), D.n, D.m)
+    return WarpingPath._of(tuple(path))
 
 
 def dtw_full(

@@ -159,13 +159,13 @@ class SparseMatrix:
       ``mask >> p``, so a query touches only the diagonal's bits from p
       on.  That is 1 byte per open cell plus, per diagonal, a mask of at
       most min(n, m) + 1 bits, an 8-byte offset and about 35 bytes of
-      Python int and list overhead.  From L = 1000 up, a whole
-      ``sparse_dtw`` call peaks at the forward pass's skew of the open
-      set, (n + m - 1) x (min(n, m) + 1) bools, and the n x m bools it
-      is copied from: 3.6 bytes per open cell (tracemalloc) at L = 3000,
-      rho 0.95, res 0.5.  Up to L = 500 it peaks in the sweep, which
-      holds the open set once, packed: 8.9 bytes per open cell at
-      L = 120, rho 0, res 0.1.
+      Python int and list overhead.  Up to about L = 1000 a whole
+      ``sparse_dtw`` call peaks in the sweep, which holds the open set
+      once, packed, beside the codes and one block of rows: 7.9 bytes
+      per open cell (tracemalloc) at L = 120, rho 0, res 0.1, and 2.8 at
+      L = 1000, rho 0.95, res 0.5.  From about L = 2000 up it peaks as
+      the packed rows are read back as masks: 1.9 bytes per open cell
+      at L = 3000.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
@@ -410,23 +410,37 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # sweep would.  A diagonal holds at most min(n, m) cells, so when
     # m > n the sweep runs over the transpose, whose costs are the same
     # (the minimum is symmetric in the left and upper neighbors, and
-    # (a - b)**2 == (b - a)**2).  The open set is skewed once into the
-    # sweep's own slots: swept cell (u, c) is slot c + 1 of diagonal
-    # u + c, and slot 0 is column -1, off the matrix.  Packed, those rows
-    # are the sweep's one copy of the open set; each is read back as its
-    # diagonal's mask only once the sweep is done.
+    # (a - b)**2 == (b - a)**2).  The open set is skewed into the sweep's
+    # own slots, packed: swept cell (u, c) is slot c + 1 of diagonal
+    # u + c, and slot 0 is column -1, off the matrix.  Those rows are the
+    # sweep's one copy of the open set; each is read back as its
+    # diagonal's mask only once the sweep is done.  They are built 64
+    # slots (8 bytes) at a time, so that the open set is unpacked to
+    # bools one chunk of swept columns at a time.
     count = sum(map(int.bit_count, col_open))  # the open cells
     wide = m > n
     size = min(n, m)
-    bits = _bits(col_open, n)  # bits[c, u], swept column c and row u
-    if wide:
-        bits = bits.T
+    cols = _packed(col_open, n)  # bit r of byte row j: cell (r, j)
     del col_open
-    skew = np.zeros((n + m - 1, size + 1), bool)
-    np.ndarray(bits.shape, bool, skew, 1, (size + 2, size + 1))[:] = bits
-    del bits
-    packed = np.packbits(skew, axis=1, bitorder="little")
-    del skew  # freed before the step codes are allocated
+    packed = np.zeros((n + m - 1, (size + 8) // 8), np.uint8)
+    for b0 in range(0, packed.shape[1], 8):
+        # Slots 8 * b0 on, swept columns c0 .. c1 - 1.
+        chunk = packed[:, b0 : b0 + 8]
+        c0 = max(0, 8 * b0 - 1)
+        c1 = min(size, 8 * b0 + 63)
+        if wide:  # swept columns are bits of the column masks
+            lo = c0 // 8
+            bits = np.unpackbits(cols[:, lo : -(-c1 // 8)], axis=1, bitorder="little")
+            bits = bits[:, c0 - 8 * lo : c1 - 8 * lo].T.view(bool)
+        else:
+            bits = np.unpackbits(cols[c0:c1], axis=1, count=n, bitorder="little").view(bool)
+        # bits[c - c0, u] is swept cell (u, c), and goes to row u + c - c0
+        # and bit c + 1 - 8 * b0 of the chunk's skew.
+        width = 8 * chunk.shape[1]
+        skew = np.zeros((bits.shape[0] + bits.shape[1] - 1, width), bool)
+        np.ndarray(bits.shape, bool, skew, c0 + 1 - 8 * b0, (width + 1, width))[:] = bits
+        chunk[c0 : c0 + len(skew)] = np.packbits(skew, axis=1, bitorder="little")
+    del cols, bits, skew  # freed before the step codes are allocated
     samples = (s.values, q.values)
     steps, cost = _sweep(n, m, samples, packed, count, True)
     if cost == _INF:
@@ -486,7 +500,12 @@ def _sweep(
         is_open = np.unpackbits(
             packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
         ).view(bool)
-        np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
+        # Copied, then subtracted in place: numpy buffers a ufunc over
+        # operands that do not flatten to one dimension, here only the
+        # broadcast (at most 64 KB), where a subtract straight from the
+        # overlapping rows of ``down_diag`` buffered two blocks.
+        rows[:] = down_diag[d0 : d0 + k]
+        rows -= across_slots
         rows *= rows
         np.putmask(rows, ~is_open, _INF)
 
@@ -528,7 +547,7 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
             j -= 1
         path.append((i, j))
     path.reverse()
-    return WarpingPath(path)
+    return WarpingPath._of(tuple(path))
 
 
 def _sparse_dtw(

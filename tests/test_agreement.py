@@ -144,3 +144,23 @@ def test_cli_align_overflow_exits_three(tmp_path, capsys, algo):
     code = main(["align", str(a), str(b), "--algo", algo, "--width", "0"])
     assert code == 3
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "align",
+    [
+        dtw_full,
+        lambda s, q: dtw_band(s, q, BandSpec(2)),
+        dc_align,
+        lambda s, q: sparse_dtw(s, q, res=0.25),
+        lambda s, q: sparse_dtw(s, q, res=1.0),
+    ],
+)
+@pytest.mark.parametrize("n, m", [(1, 1), (9, 5), (5, 9)])
+def test_every_path_holds_tuples_of_built_in_ints(align, n, m):
+    s = TimeSeries("s", [(i * i) % 7 - 0.5 * i for i in range(n)])
+    q = TimeSeries("q", [(j * j) % 5 - 0.25 * j for j in range(m)])
+    steps = align(s, q).path.steps
+    assert type(steps) is tuple
+    assert all(type(step) is tuple and len(step) == 2 for step in steps)
+    assert all(type(i) is int and type(j) is int for i, j in steps)

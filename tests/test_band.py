@@ -18,6 +18,15 @@ class TestBandSpec:
         with pytest.raises(ValueError):
             BandSpec(-1)
 
+    @pytest.mark.parametrize("width", [2.0, 2.5, "2", None])
+    def test_rejects_a_width_that_is_not_an_integer(self, width):
+        with pytest.raises(ValueError, match=f"band width must be an integer, got {width!r}"):
+            BandSpec(width)
+
+    def test_accepts_numpy_integers(self):
+        s = TimeSeries("s", [1.0, 2.0, 3.0, 4.0])
+        assert dtw_band(s, s, BandSpec(np.int64(1))).raw_cost == 0.0
+
 
 class TestDtwBand:
     def test_width_zero_square_is_diagonal(self):

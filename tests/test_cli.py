@@ -304,3 +304,49 @@ class TestUsage:
     def test_unknown_algo_flag(self, pair_files, capsys):
         a, b = pair_files
         assert main(["align", a, b, "--algo", "quantum"]) == 1
+
+
+class TestSettings:
+    """A bad ``--width`` or ``--res`` is a usage error before any pair
+    runs, not an in-row failure, even where every pair would fail."""
+
+    BAD = [
+        (["--width", "-1"], "band width must be >= 0"),
+        (["--res", "0"], "resolution must be in (0, 1], got 0.0"),
+        (["--res", "1.5"], "resolution must be in (0, 1], got 1.5"),
+    ]
+
+    @pytest.fixture
+    def overflow_files(self, tmp_path):
+        s, q = tmp_path / "s.txt", tmp_path / "q.txt"
+        s.write_text("1e200\n-1e200\n")
+        q.write_text("0\n1e200\n3\n")
+        return str(s), str(q)
+
+    @pytest.mark.parametrize("flags, message", BAD)
+    @pytest.mark.parametrize("pair", ["pair_files", "overflow_files"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_compare(self, request, capsys, pair, flags, message, json_flag):
+        a, b = request.getfixturevalue(pair)
+        capsys.readouterr()
+        assert main(["compare", a, b, *flags, *json_flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--algos", "band", "--widths", "2,-1"], "band width must be >= 0"),
+        (["--algos", "sparse", "--res", "0"], "resolution must be in (0, 1], got 0.0"),
+    ])
+    def test_bench(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--lengths", "8", "--rhos", "0.5", "--repeats", "1"]
+        assert main(argv + flags + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_bench_checks_only_the_settings_it_uses(self, capsys):
+        assert main(["bench", "--lengths", "8", "--rhos", "0.5", "--repeats", "1",
+                     "--algos", "full", "--res", "0"]) == 0
+        assert "failed:" not in capsys.readouterr().err

@@ -133,6 +133,13 @@ class TestWarpingPath:
         assert len(p) == 3
         assert list(p) == [(1, 1), (2, 1), (2, 2)]
 
+    def test_converts_numpy_integers_and_integral_floats(self):
+        cells = [(np.int64(1), np.int32(1)), (2.0, np.float64(2.0)), [np.uint8(3), 3]]
+        p = WarpingPath(iter(cells))
+        assert p.steps == ((1, 1), (2, 2), (3, 3))
+        assert all(type(step) is tuple for step in p.steps)
+        assert all(type(i) is int and type(j) is int for i, j in p.steps)
+
 
 class TestNormalizedDistance:
     def test_formula(self):

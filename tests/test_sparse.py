@@ -228,13 +228,15 @@ class TestSparseDtw:
 
     def test_peak_memory_per_open_cell(self):
         # The forward pass keeps a one-byte step code per open cell, not
-        # its 8-byte cost, and no buffer outlives the transient skew of
-        # the open set: about 4.5 B per open cell at L = 1000, 8.9 when
-        # the costs were kept.  At L = 120 the call peaks in the sweep,
-        # where the open set is held once, packed in the sweep's slots:
-        # 9.0 B per open cell, and 11.6 while its bytes copy and the
-        # per-diagonal masks were alive beside it.
-        for L, rho, res, bound in [(1000, 0.95, 0.5, 6.5), (120, 0.0, 0.1, 11.0)]:
+        # its 8-byte cost, and skews the open set into the sweep's slots
+        # 64 slots at a time, never as bools of the whole matrix: about
+        # 2.8 B per open cell at L = 1000, 4.5 while the whole skew and
+        # the bools it was copied from were alive.  At L = 120 the call
+        # peaks in the sweep, where the open set is held once, packed,
+        # beside one block of rows: 7.9 B per open cell, and 9.4 while
+        # the local costs were subtracted into the rows through
+        # block-sized buffers.
+        for L, rho, res, bound in [(1000, 0.95, 0.5, 3.5), (120, 0.0, 0.1, 8.8)]:
             s, q = generate_pair(SyntheticSpec(L, rho, 7))
             tracemalloc.start()
             try:
@@ -257,6 +259,24 @@ class TestSparseDtw:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(s) * len(q), peak
+
+
+@pytest.mark.parametrize("short", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("wide", [False, True])
+def test_skew_chunk_and_byte_edges_match_the_reference(short, wide):
+    # The open set is skewed into the sweep's slots 64 at a time, and
+    # slot c + 1 holds swept column c, so a shorter side of 63-65 or
+    # 127-129 puts the last slot on either side of a chunk or byte edge.
+    rng = np.random.default_rng(short)
+    n, m = (short, short + 40) if wide else (short + 40, short)
+    s = TimeSeries("s", np.cumsum(rng.normal(size=n)))
+    q = TimeSeries("q", np.cumsum(rng.normal(size=m)))
+    for res in (0.5, 1.0):
+        ref_cost, ref_open = _reference_sparse(s, q, res)
+        r, sm = _sparse_dtw(s, q, res)
+        assert sm.open_cells() == ref_open
+        assert r.raw_cost == ref_cost
+    assert r.path == dtw_full(s, q).path
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):
