@@ -28,10 +28,10 @@ from .bench import (
     run_benchmark,
     write_csv,
 )
-from .core import AlignmentResult, TimeSeries
+from .core import AlignmentResult, TimeSeries, quantize
 from .divide import dc_align
 from .full import dtw_full
-from .sparse import _sparse_dtw, build_bins, dump_lines, sparse_dtw
+from .sparse import build_bins, dump_lines, forward_pass, populate, sparse_dtw
 
 __all__ = ["main"]
 
@@ -115,16 +115,16 @@ def _aligner(
 
 
 def _cmd_align(args) -> int:
+    if args.dump_sm and args.algo != "sparse":
+        raise ValueError(f"--dump-sm needs --algo sparse, not {args.algo}")
     s = _load_one(args.series_a)
     q = _load_one(args.series_b)
-    dump = args.algo == "sparse" and args.dump_sm
-    if dump:
-        result, sm = _sparse_dtw(s, q, args.res)
-    else:
-        result = _aligner(args.algo, args, args.width)(s, q)
+    result = _aligner(args.algo, args, args.width)(s, q)
     payload = _result_payload(result, len(s), len(q))
-    if dump:
-        payload["sm_dump"] = dump_lines(sm, s, q)
+    if args.dump_sm:
+        # The matrix that sparse_dtw aligned over, built by the same stages.
+        sm = populate(quantize(s), quantize(q), build_bins(args.res), s, q)
+        payload["sm_dump"] = dump_lines(forward_pass(sm, s, q), s, q)
     json.dump(payload, sys.stdout, indent=2)
     print()
     return EXIT_OK

@@ -13,14 +13,14 @@ OPEN cells.  It equals the true optimum at res = 1 only; below that it
 often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
-Open cells are stored per anti-diagonal (see ``SparseMatrix``): one
-bitmask of open cells per diagonal (a Python int) and one flat uint8
-buffer of step codes in diagonal-major order, 1 byte per open cell
-plus about a bit per matrix cell, where a dense matrix takes 8 bytes
-per cell.  The accumulated costs are computed again, by the same
-sweep, only when a caller asks for them.  The unblocking pass works on
-whole columns of bits at a time and the cost sweep on whole
-anti-diagonals of the shorter side.
+Open cells are stored per anti-diagonal (see ``SparseMatrix``): the
+cost sweep's own packed rows, a bit per diagonal slot, and one flat
+uint8 buffer of step codes in diagonal-major order, 1 byte per open
+cell plus one to two bits per matrix cell, where a dense matrix takes
+8 bytes per cell; a call peaks in the sweep.  The accumulated costs
+are computed again, by the same sweep, only when a caller asks for
+them.  The unblocking pass works on whole columns of bits at a time
+and the cost sweep on whole anti-diagonals of the shorter side.
 The public contract speaks in 1-based column-major linear indices:
 index(i, j) = (j - 1) * n + i.
 """
@@ -140,32 +140,32 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
 
 @dataclass(eq=False)
 class SparseMatrix:
-    """Open cells of the warping matrix, as bitmasks (Python ints).
+    """Open cells of the warping matrix, as bitmasks.
 
     Stored:
 
     - ``col_bin``: each column's bin-opened rows, corners forced in,
-      from ``populate``; bit r is set when row r (0-based) is open.
+      from ``populate``, as an int whose bit r (0-based) is row r's.
     - After ``forward_pass``, per anti-diagonal d = r + j (0-based row r
-      and column j, d from 0 to n + m - 2): ``diag_open``, whose bit p
-      is set when the diagonal's slot p in the cost sweep is open, slot
-      p being the cell in 1-based row p when m > n, else in 1-based
-      column p (``_slot``); ``diag_off``, n + m offsets into ``steps``;
-      ``steps``, one uint8 per open cell, diagonal-major with slots
-      ascending, naming the lower neighbor that ``backtrack_path`` takes
-      from the cell (0 diagonal, 1 vertical, 2 horizontal); and
-      ``cost``, the accumulated cost at (n, m).  The code of diagonal
-      d's open bit p sits at ``diag_off[d + 1]`` less the popcount of
-      ``mask >> p``, so a query touches only the diagonal's bits from p
-      on.  That is 1 byte per open cell plus, per diagonal, a mask of at
-      most min(n, m) + 1 bits, an 8-byte offset and about 35 bytes of
-      Python int and list overhead.  Up to about L = 1000 a whole
-      ``sparse_dtw`` call peaks in the sweep, which holds the open set
-      once, packed, beside the codes and one block of rows: 7.9 bytes
-      per open cell (tracemalloc) at L = 120, rho 0, res 0.1, and 2.8 at
-      L = 1000, rho 0.95, res 0.5.  From about L = 2000 up it peaks as
-      the packed rows are read back as masks: 1.9 bytes per open cell
-      at L = 3000.
+      and column j, d from 0 to n + m - 2): ``diag_open``, the cost
+      sweep's own packed rows, an (n + m - 1) x ((min(n, m) + 8) // 8)
+      uint8 array whose row d has bit p set (8 bits a byte,
+      little-endian) when the diagonal's slot p is open, slot p being
+      the cell in 1-based row p when m > n, else in 1-based column p
+      (``_above``); ``diag_off``, n + m offsets into ``steps``, from a
+      popcount of each row; ``steps``, one uint8 per open cell,
+      diagonal-major with slots ascending, naming the lower neighbor
+      that ``backtrack_path`` takes from the cell (0 diagonal,
+      1 vertical, 2 horizontal); and ``cost``, the accumulated cost at
+      (n, m).  The code of diagonal d's open bit p sits at
+      ``diag_off[d + 1]`` less the popcount of the row's bits from p on,
+      read as an int from the row's bytes from p // 8 on, so a query
+      touches only those bytes.  That is 1 byte per open cell plus, per
+      diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte offset.
+      A whole ``sparse_dtw`` call peaks in the sweep, which holds the
+      rows beside the codes and one block of the sweep's costs: 7.9
+      bytes per open cell (tracemalloc) at L = 120, rho 0, res 0.1, and
+      2.8 and 1.7 at L = 1000 and 3000, rho 0.95, res 0.5.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
@@ -180,7 +180,7 @@ class SparseMatrix:
     n: int
     m: int
     col_bin: list[int]
-    diag_open: list[int] | None = None
+    diag_open: np.ndarray | None = None
     diag_off: array | None = None
     steps: np.ndarray | None = None
     cost: float | None = None
@@ -200,7 +200,8 @@ class SparseMatrix:
         # Bit p of diagonal d, at flat index d * w + p, is slot p: swept
         # column c = p - 1 and swept row d - c.
         w = min(n, self.m) + 1
-        u, c = np.divmod(np.flatnonzero(_bits(self.diag_open, w)), w)
+        bits = np.unpackbits(self.diag_open, axis=1, count=w, bitorder="little")
+        u, c = np.divmod(np.flatnonzero(bits), w)
         c -= 1
         u -= c
         cols, rows = (u, c) if self.m > n else (c, u)
@@ -219,8 +220,8 @@ class SparseMatrix:
         """Every open cell's accumulated cost, laid out like ``steps``:
         the cost sweep run again, once."""
         if self._vals is None:
-            packed = _packed(self.diag_open, min(self.n, self.m) + 1)
-            self._vals = _sweep(self.n, self.m, self._samples, packed, self.diag_off[-1], False)[0]
+            count = self.diag_off[-1]
+            self._vals = _sweep(self.n, self.m, self._samples, self.diag_open, count, False)[0]
         return self._vals
 
     @property
@@ -252,16 +253,17 @@ class SparseMatrix:
             return self.diag_off[-1]
         return sum(map(int.bit_count, self.col_bin))
 
-    def _slot(self, i: int, j: int) -> int:
-        """The ``diag_open`` bit of 1-based cell (i, j): its row when the
-        sweep runs over the transpose (m > n), else its column."""
-        return i if self.m > self.n else j
+    def _above(self, i: int, j: int) -> int:
+        """Open slots of 1-based cell (i, j)'s diagonal from the cell's on,
+        as an int; the slot is row i when m > n (``_sweep``), else j."""
+        slot = i if self.m > self.n else j
+        return int.from_bytes(self.diag_open[i + j - 2, slot >> 3 :], "little") >> (slot & 7)
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
         if self.steps is None:
             return bool(self.col_bin[j - 1] >> (i - 1) & 1)
-        return bool(self.diag_open[i + j - 2] >> self._slot(i, j) & 1)
+        return bool(self._above(i, j) & 1)
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
@@ -272,12 +274,10 @@ class SparseMatrix:
         """1-based accumulated-cost query; None for blocked cells."""
         if self.steps is None:
             raise RuntimeError("forward pass has not run yet")
-        d = i + j - 2
-        # The cell and the open cells after it on its diagonal.
-        above = self.diag_open[d] >> self._slot(i, j)
+        above = self._above(i, j)
         if not above & 1:
             return None
-        return self._costs().item(self.diag_off[d + 1] - above.bit_count())
+        return self._costs().item(self.diag_off[i + j - 1] - above.bit_count())
 
 
 def _packed(masks: list[int], width: int) -> np.ndarray:
@@ -413,10 +413,10 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # (a - b)**2 == (b - a)**2).  The open set is skewed into the sweep's
     # own slots, packed: swept cell (u, c) is slot c + 1 of diagonal
     # u + c, and slot 0 is column -1, off the matrix.  Those rows are the
-    # sweep's one copy of the open set; each is read back as its
-    # diagonal's mask only once the sweep is done.  They are built 64
-    # slots (8 bytes) at a time, so that the open set is unpacked to
-    # bools one chunk of swept columns at a time.
+    # sweep's one copy of the open set, and then the matrix's
+    # (``diag_open``).  They are built 64 slots (8 bytes) at a time, so
+    # that the open set is unpacked to bools one chunk of swept columns
+    # at a time.
     count = sum(map(int.bit_count, col_open))  # the open cells
     wide = m > n
     size = min(n, m)
@@ -448,8 +448,10 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    sm.diag_open = _ints(packed)
-    sm.diag_off = array("q", accumulate(map(int.bit_count, sm.diag_open), initial=0))
+    # A diagonal holds at most ``size`` open cells.
+    counts = np.add.reduce(np.bitwise_count(packed), axis=1, dtype=np.min_scalar_type(size))
+    sm.diag_open = packed
+    sm.diag_off = array("q", accumulate(counts.tolist(), initial=0))
     sm.steps = steps
     sm.cost = cost
     sm.unblocked = count - sum(map(int.bit_count, col_bin))
@@ -531,7 +533,8 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     if sm.steps is None:
         raise RuntimeError("forward pass has not run yet")
     n = sm.n
-    masks = sm.diag_open
+    w = sm.diag_open.shape[1]
+    rows = sm.diag_open.data.cast("B")
     ends = sm.diag_off
     steps = sm.steps.data
     wide = sm.m > n
@@ -539,8 +542,11 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     path = [(i, j)]
     while i > 1 or j > 1:
         d = i + j - 2
-        slot = i if wide else j  # ``SparseMatrix._slot``, without a call per hop
-        code = steps[ends[d + 1] - (masks[d] >> slot).bit_count()]
+        slot = i if wide else j  # ``SparseMatrix._above``, without a call per hop
+        at = d * w + (slot >> 3)
+        # A last byte is indexed, not copied: a thin matrix's rows are one byte.
+        above = rows[at] if slot >> 3 == w - 1 else int.from_bytes(rows[at : d * w + w], "little")
+        code = steps[ends[d + 1] - (above >> (slot & 7)).bit_count()]
         if code != 2:
             i -= 1
         if code != 1:
@@ -550,31 +556,22 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     return WarpingPath._of(tuple(path))
 
 
-def _sparse_dtw(
-    s: TimeSeries, q: TimeSeries, res: float
-) -> tuple[AlignmentResult, SparseMatrix]:
-    """``sparse_dtw`` plus the filled matrix it aligned over."""
-    start = time.perf_counter()
-    bins = build_bins(res)
-    sm = populate(quantize(s), quantize(q), bins, s, q)
-    forward_pass(sm, s, q)
-    path = sparse_backtrack(sm)
-    elapsed = time.perf_counter() - start
-    result = AlignmentResult(
-        path=path,
-        raw_cost=sm.cost,
-        computed_cells=sm.open_count,
-        elapsed=elapsed,
-        algorithm_params={"algorithm": "sparse", "res": res},
-    )
-    return result, sm
-
-
 def sparse_dtw(
     s: TimeSeries, q: TimeSeries, res: float = DEFAULT_RES
 ) -> AlignmentResult:
-    """Quantize, bucket, open, accumulate, backtrack."""
-    return _sparse_dtw(s, q, res)[0]
+    """Quantize, bucket, open, accumulate, backtrack: ``build_bins``,
+    ``quantize``, ``populate``, ``forward_pass`` and ``sparse_backtrack``."""
+    start = time.perf_counter()
+    bins = build_bins(res)
+    sm = forward_pass(populate(quantize(s), quantize(q), bins, s, q), s, q)
+    path = sparse_backtrack(sm)
+    return AlignmentResult(
+        path=path,
+        raw_cost=sm.cost,
+        computed_cells=sm.open_count,
+        elapsed=time.perf_counter() - start,
+        algorithm_params={"algorithm": "sparse", "res": res},
+    )
 
 
 def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:

@@ -9,14 +9,17 @@ from tswarp import (
     BandSpec,
     CostOverflowError,
     MatrixBudgetError,
+    build_bins,
     dc_align,
     dtw_band,
     dtw_full,
     load_series,
+    quantize,
     run_benchmark,
     sparse_dtw,
 )
 from tswarp.cli import main
+from tswarp.sparse import dump_lines, forward_pass, populate
 
 
 @pytest.fixture
@@ -75,6 +78,25 @@ class TestAlign:
         assert payload["algorithm"] == "sparse"
         assert payload["params"] == {"res": 0.5}
         assert len(payload["sm_dump"]) == payload["open_cells"]
+
+    def test_dump_is_the_staged_matrix_beside_the_plain_payload(self, pair_files, capsys):
+        a, b = pair_files
+        assert main(["align", a, b, "--algo", "sparse"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["align", a, b, "--algo", "sparse", "--dump-sm"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        sm_dump = dumped.pop("sm_dump")
+        del plain["elapsed_ms"], dumped["elapsed_ms"]
+        assert dumped == plain
+        s, q = load_series(a)[0], load_series(b)[0]
+        sm = populate(quantize(s), quantize(q), build_bins(0.5), s, q)
+        assert sm_dump == dump_lines(forward_pass(sm, s, q), s, q)
+
+    @pytest.mark.parametrize("algo", [["full"], ["band", "--width", "3"], ["dc"]])
+    def test_dump_without_sparse_is_usage_error(self, pair_files, capsys, algo):
+        a, b = pair_files
+        assert main(["align", a, b, "--algo", *algo, "--dump-sm"]) == 1
+        assert "--dump-sm" in capsys.readouterr().err
 
     def test_band_requires_width(self, pair_files, capsys):
         a, b = pair_files

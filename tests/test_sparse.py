@@ -21,7 +21,7 @@ from tswarp import (
     validate_path,
 )
 from tswarp.core import QuantizedSeries, backtrack_path
-from tswarp.sparse import _sparse_dtw, dump_lines, forward_pass, populate, sparse_backtrack
+from tswarp.sparse import dump_lines, forward_pass, populate, sparse_backtrack
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -204,7 +204,8 @@ class TestSparseDtw:
         q = TimeSeries("q", np.cumsum(rng.normal(size=m)))
         tracemalloc.start()
         try:
-            _, sm = _sparse_dtw(s, q, 0.5)
+            sm = _filled(s, q, 0.5)
+            sparse_backtrack(sm)
             sm.col_vals
             sm.open_cells()
             peak = tracemalloc.get_traced_memory()[1]
@@ -220,7 +221,7 @@ class TestSparseDtw:
         # squaring a pad against 1e200 could overflow.
         for n, m in [(4, 3), (3, 4)]:
             s, q = TimeSeries("s", [1e200] * n), TimeSeries("q", [1e200] * m)
-            _, sm = _sparse_dtw(s, q, 0.5)
+            sm = _filled(s, q, 0.5)
             assert sm.cost == 0.0
             assert sm.col_vals[-1][-1] == 0.0  # the cost sweep run again
             assert dc_align(s, q).raw_cost == 0.0
@@ -231,12 +232,15 @@ class TestSparseDtw:
         # its 8-byte cost, and skews the open set into the sweep's slots
         # 64 slots at a time, never as bools of the whole matrix: about
         # 2.8 B per open cell at L = 1000, 4.5 while the whole skew and
-        # the bools it was copied from were alive.  At L = 120 the call
-        # peaks in the sweep, where the open set is held once, packed,
-        # beside one block of rows: 7.9 B per open cell, and 9.4 while
-        # the local costs were subtracted into the rows through
-        # block-sized buffers.
-        for L, rho, res, bound in [(1000, 0.95, 0.5, 3.5), (120, 0.0, 0.1, 8.8)]:
+        # the bools it was copied from were alive.  The call peaks in the
+        # sweep, where the open set is held once, packed, beside one block
+        # of rows: 7.9 B per open cell at L = 120, and 9.4 while the local
+        # costs were subtracted into the rows through block-sized
+        # buffers.  The packed rows stay the matrix's store, so at
+        # L = 3000 the peak is the sweep's, 1.7 B per open cell, where
+        # reading the rows back as Python ints after the sweep took 1.9.
+        cases = [(1000, 0.95, 0.5, 3.5), (120, 0.0, 0.1, 8.8), (3000, 0.95, 0.5, 1.8)]
+        for L, rho, res, bound in cases:
             s, q = generate_pair(SyntheticSpec(L, rho, 7))
             tracemalloc.start()
             try:
@@ -273,10 +277,10 @@ def test_skew_chunk_and_byte_edges_match_the_reference(short, wide):
     q = TimeSeries("q", np.cumsum(rng.normal(size=m)))
     for res in (0.5, 1.0):
         ref_cost, ref_open = _reference_sparse(s, q, res)
-        r, sm = _sparse_dtw(s, q, res)
+        sm = _filled(s, q, res)
         assert sm.open_cells() == ref_open
-        assert r.raw_cost == ref_cost
-    assert r.path == dtw_full(s, q).path
+        assert sm.cost == ref_cost
+    assert sparse_backtrack(sm) == dtw_full(s, q).path
 
 
 def _reference_sparse(s: TimeSeries, q: TimeSeries, res: float):

@@ -28,10 +28,12 @@ non-square pairs), band at the least connecting width and one below it
 public stage functions, and both series through ``quantize``.  A
 record holds raw costs as float.hex, paths, cell counts, dc splits and
 SpaceStats, sparse matrix contents, quantized samples as float.hex, or
-the error type and message.  The ``bench`` records hold
-``run_benchmark``'s rows (``elapsed_ms`` dropped) and failures for
-full, dc, band at width 2 and sparse at res 0.25 on the CLI pairs below
-and the four strongly non-square pairs, and for band at width 0 on
+the error type and message.  A stage record hashes the matrix's column
+views, its ``accumulated`` query as float.hex over every open cell and,
+on pairs of up to 4,000 cells, its ``is_open`` query over every cell.
+The ``bench`` records hold ``run_benchmark``'s rows (``elapsed_ms``
+dropped) and failures for full, dc, band at width 2 and sparse at
+res 0.25 on the CLI pairs below and the four strongly non-square pairs, and for band at width 0 on
 zeros 4,001 x 4,001, a pair past the dense cell budget.  Each failure
 is written as ``dataset/algorithm: message``, whether the version
 returns it as that string or as a (dataset, algorithm, message) triple,
@@ -251,19 +253,30 @@ def dump(src: str, out_path: str) -> None:
     from tswarp.full import backtrack, cost_matrix
     from tswarp.sparse import forward_pass, populate, sparse_backtrack
 
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
     def stages(s, q, res):
         sm = populate(tw.quantize(s), tw.quantize(q), tw.build_bins(res), s, q)
         forward_pass(sm, s, q)
+        n, m = len(s), len(q)
         h = hashlib.sha256()
         for rows, vals in zip(sm.col_open_rows, sm.col_vals):
             h.update(np.asarray(rows, dtype=np.int64).tobytes())
             h.update(np.asarray(vals, dtype=np.float64).tobytes())
-        return {
+        # Open cells as 1-based (i, j), column-major.
+        cells = [((c - 1) % n + 1, (c - 1) // n + 1) for c in sm.open_cells()]
+        out = {
             "matrix": h.hexdigest(),
-            "col_rows": hashlib.sha256(repr(sm.col_rows).encode()).hexdigest(),
+            "col_rows": sha(repr(sm.col_rows)),
             "unblocked": sm.unblocked,
             "path": [list(p) for p in sparse_backtrack(sm)],
+            "accumulated": sha(",".join(sm.accumulated(i, j).hex() for i, j in cells)),
         }
+        if n * m <= 4000:
+            grid = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
+            out["is_open"] = sha("".join("01"[sm.is_open(i, j)] for i, j in grid))
+        return out
 
     def dense(s, q):
         D = cost_matrix(s, q)
