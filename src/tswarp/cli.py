@@ -124,7 +124,7 @@ def _cmd_align(args) -> int:
     if args.dump_sm:
         # The matrix that sparse_dtw aligned over, built by the same stages.
         sm = populate(quantize(s), quantize(q), build_bins(args.res), s, q)
-        payload["sm_dump"] = dump_lines(forward_pass(sm, s, q), s, q)
+        payload["sm_dump"] = dump_lines(forward_pass(sm, s, q))
     json.dump(payload, sys.stdout, indent=2)
     print()
     return EXIT_OK

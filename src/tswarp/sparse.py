@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -174,7 +174,10 @@ class SparseMatrix:
     ``col_open_rows`` (final open rows) and ``col_vals`` (each column's
     costs, rows ascending) are read-only column-major views, derived
     with numpy on each access from about 32 transient bytes per open
-    cell; the last two are None before the forward pass.
+    cell.
+
+    Only the finished matrix is read: before ``forward_pass`` every
+    view and query but ``col_rows`` raises ``RuntimeError``.
     """
 
     n: int
@@ -185,18 +188,20 @@ class SparseMatrix:
     steps: np.ndarray | None = None
     cost: float | None = None
     unblocked: int = 0
-    # The forward pass's samples, for the cost sweep's re-run, and its costs.
+    # The forward pass's samples, for the cost sweep's re-run and the dump,
+    # and the re-run's costs.
     _samples: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
     _vals: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The open cells in column-major order: their columns, their
-        rows (0-based) and, once the forward pass has run, the index of
-        each one's entry in ``steps`` (None before)."""
-        n = self.n
+    def _check_finished(self) -> None:
         if self.steps is None:
-            cols, rows = np.nonzero(_bits(self.col_bin, n))
-            return cols, rows, None
+            raise RuntimeError("forward pass has not run yet")
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The open cells in column-major order: their columns, their
+        rows (0-based) and the index of each one's entry in ``steps``."""
+        self._check_finished()
+        n = self.n
         # Bit p of diagonal d, at flat index d * w + p, is slot p: swept
         # column c = p - 1 and swept row d - c.
         w = min(n, self.m) + 1
@@ -227,42 +232,39 @@ class SparseMatrix:
     @property
     def col_rows(self) -> list[list[int]]:
         """Bin-opened rows (0-based, ascending) per column."""
-        cols, rows = np.nonzero(_bits(self.col_bin, self.n))
+        n = self.n
+        bits = np.unpackbits(_packed(self.col_bin, n), axis=1, count=n, bitorder="little")
+        cols, rows = np.nonzero(bits)
         return self._per_col(cols, rows.tolist())
 
     @property
-    def col_open_rows(self) -> list[list[int]] | None:
-        """Final open rows per column; None before the forward pass."""
-        if self.steps is None:
-            return None
+    def col_open_rows(self) -> list[list[int]]:
+        """Final open rows per column."""
         cols, rows, _ = self._cells()
         return self._per_col(cols, rows.tolist())
 
     @property
-    def col_vals(self) -> list[np.ndarray] | None:
-        """Accumulated costs per column, rows ascending; None before
-        the forward pass."""
-        if self.steps is None:
-            return None
+    def col_vals(self) -> list[np.ndarray]:
+        """Accumulated costs per column, rows ascending."""
         cols, _, order = self._cells()
         return self._per_col(cols, self._costs()[order])
 
     @property
     def open_count(self) -> int:
-        if self.steps is not None:
-            return self.diag_off[-1]
-        return sum(map(int.bit_count, self.col_bin))
+        self._check_finished()
+        return self.diag_off[-1]
 
     def _above(self, i: int, j: int) -> int:
         """Open slots of 1-based cell (i, j)'s diagonal from the cell's on,
         as an int; the slot is row i when m > n (``_sweep``), else j."""
+        self._check_finished()
+        if not (1 <= i <= self.n and 1 <= j <= self.m):
+            raise IndexError(f"cell ({i}, {j}) is off the {self.n} x {self.m} matrix")
         slot = i if self.m > self.n else j
         return int.from_bytes(self.diag_open[i + j - 2, slot >> 3 :], "little") >> (slot & 7)
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        if self.steps is None:
-            return bool(self.col_bin[j - 1] >> (i - 1) & 1)
         return bool(self._above(i, j) & 1)
 
     def open_cells(self) -> list[int]:
@@ -272,8 +274,6 @@ class SparseMatrix:
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
-        if self.steps is None:
-            raise RuntimeError("forward pass has not run yet")
         above = self._above(i, j)
         if not above & 1:
             return None
@@ -294,12 +294,6 @@ def _ints(packed: np.ndarray) -> list[int]:
     nbytes = packed.shape[1]
     rows = packed.tobytes()
     return [int.from_bytes(rows[x : x + nbytes], "little") for x in range(0, len(rows), nbytes)]
-
-
-def _bits(masks: list[int], width: int) -> np.ndarray:
-    """Bit k of ``masks[x]`` at ``[x, k]``, k < width, one bool per bit."""
-    bits = np.unpackbits(_packed(masks, width), axis=1, count=width, bitorder="little")
-    return bits.view(bool)
 
 
 def populate(
@@ -530,11 +524,10 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     horizontal neighbor, matching the dense backtracker.  The forward
     pass recorded each cell's winner, so a hop reads one code.
     """
-    if sm.steps is None:
-        raise RuntimeError("forward pass has not run yet")
+    sm._check_finished()
     n = sm.n
     w = sm.diag_open.shape[1]
-    rows = sm.diag_open.data.cast("B")
+    rows = sm.diag_open.tobytes()
     ends = sm.diag_off
     steps = sm.steps.data
     wide = sm.m > n
@@ -574,22 +567,21 @@ def sparse_dtw(
     )
 
 
-def dump_lines(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> list[str]:
-    """Debug dump: ``index,i,j,local,accumulated,open`` per open cell.
+def dump_lines(sm: SparseMatrix) -> list[str]:
+    """Debug dump: ``index,i,j,local,accumulated,open`` per open cell,
+    local costs over the samples that the forward pass swept.
 
     A zero local cost is written as -1, mirroring the convention of
     distinguishing genuinely-zero distances from blocked cells in a
-    dense dump.  The accumulated field is empty before the forward pass.
+    dense dump.
     """
     n = sm.n
-    sv = s.values.tolist()
-    qv = q.values.tolist()
     cols, rows, order = sm._cells()
-    acc = repeat(None) if order is None else sm._costs()[order].tolist()
+    sv, qv = (v.tolist() for v in sm._samples)
     out = []
-    for j, r, v in zip(cols.tolist(), rows.tolist(), acc):
+    for j, r, v in zip(cols.tolist(), rows.tolist(), sm._costs()[order].tolist()):
         lc = local_distance(sv[r], qv[j])
         lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
-        a_txt = "" if v is None else ("inf" if v == _INF else f"{v:g}")
+        a_txt = "inf" if v == _INF else f"{v:g}"
         out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
     return out

@@ -90,7 +90,7 @@ class TestAlign:
         assert dumped == plain
         s, q = load_series(a)[0], load_series(b)[0]
         sm = populate(quantize(s), quantize(q), build_bins(0.5), s, q)
-        assert sm_dump == dump_lines(forward_pass(sm, s, q), s, q)
+        assert sm_dump == dump_lines(forward_pass(sm, s, q))
 
     @pytest.mark.parametrize("algo", [["full"], ["band", "--width", "3"], ["dc"]])
     def test_dump_without_sparse_is_usage_error(self, pair_files, capsys, algo):

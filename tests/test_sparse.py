@@ -104,7 +104,7 @@ class TestWorkedExample:
             quantize(S_FIXTURE), quantize(Q_FIXTURE), build_bins(0.5),
             S_FIXTURE, Q_FIXTURE,
         )
-        assert 10 not in sm.open_cells()
+        assert 4 not in sm.col_rows[1]
         forward_pass(sm, S_FIXTURE, Q_FIXTURE)
         assert 10 in sm.open_cells()
         assert sm.unblocked >= 1
@@ -355,7 +355,7 @@ class TestDump:
         q = TimeSeries("q", [1.0, 3.0])
         sm = populate(quantize(s), quantize(q), build_bins(1.0), s, q)
         forward_pass(sm, s, q)
-        lines = dump_lines(sm, s, q)
+        lines = dump_lines(sm)
         first = lines[0].split(",")
         assert first[:3] == ["1", "1", "1"]
         assert first[3] == "-1"  # |1-1| squared is zero
@@ -367,7 +367,7 @@ class TestDump:
             S_FIXTURE, Q_FIXTURE,
         )
         forward_pass(sm, S_FIXTURE, Q_FIXTURE)
-        lines = dump_lines(sm, S_FIXTURE, Q_FIXTURE)
+        lines = dump_lines(sm)
         assert len(lines) == sm.open_count == 21
         assert [int(ln.split(",")[0]) for ln in lines] == sm.open_cells()
 
@@ -435,7 +435,7 @@ class TestRunCompressedStorage:
                 assert v == (cells[c] if c in cells else None)
                 if c in cells:
                     assert v == acc[c]
-        lines = dump_lines(sm, s, q)
+        lines = dump_lines(sm)
         assert [int(ln.split(",")[0]) for ln in lines] == sorted(cells)
         for ln in lines:
             c, i, j, _, a_txt, flag = ln.split(",")
@@ -504,8 +504,8 @@ class TestRunCompressedStorage:
         s = TimeSeries("s", a)
         q = TimeSeries("q", b)
         n = len(a)
-        binned = set(populate(quantize(s), quantize(q), build_bins(res), s, q).open_cells())
         sm = _filled(s, q, res)
+        binned = {j * n + r + 1 for j, col in enumerate(sm.col_rows) for r in col}
         acc, ref_open, ref_unblocked = _reference_engine(s, q, res)
         assert sorted(set(sm.open_cells()) - binned) == opened
         assert sm.open_cells() == ref_open
@@ -580,32 +580,36 @@ class TestStagedInputs:
 
 
 class TestBeforeForwardPass:
-    @pytest.fixture
-    def sm(self):
-        return populate(
+    def test_only_the_bin_opened_rows_are_read(self):
+        sm = populate(
             quantize(S_FIXTURE), quantize(Q_FIXTURE), build_bins(0.5),
             S_FIXTURE, Q_FIXTURE,
         )
+        assert sum(map(len, sm.col_rows)) == 18
+        readers = [
+            lambda: sm.open_count,
+            sm.open_cells,
+            lambda: sm.col_open_rows,
+            lambda: sm.col_vals,
+            lambda: sm.is_open(1, 1),
+            lambda: sm.accumulated(1, 1),
+            lambda: sparse_backtrack(sm),
+            lambda: dump_lines(sm),
+        ]
+        for read in readers:
+            with pytest.raises(RuntimeError, match="forward pass has not run yet"):
+                read()
 
-    def test_views_and_queries_read_the_bin_opened_cells(self, sm):
-        assert sm.col_open_rows is None
-        assert sm.col_vals is None
-        rows = sm.col_rows
-        assert sm.open_count == sum(map(len, rows)) == len(sm.open_cells())
-        for j in range(1, 6):
-            for i in range(1, 6):
-                assert sm.is_open(i, j) == (i - 1 in rows[j - 1])
 
-    def test_costs_and_path_need_the_forward_pass(self, sm):
-        with pytest.raises(RuntimeError, match="forward pass has not run"):
-            sm.accumulated(1, 1)
-        with pytest.raises(RuntimeError, match="forward pass has not run"):
-            sparse_backtrack(sm)
-
-    def test_dump_leaves_the_accumulated_field_empty(self, sm):
-        lines = dump_lines(sm, S_FIXTURE, Q_FIXTURE)
-        assert len(lines) == sm.open_count
-        assert all(ln.split(",")[4] == "" for ln in lines)
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-1, 2), (4, 1), (1, 3), (0, 0)])
+def test_queries_refuse_cells_off_the_matrix(i, j):
+    # A negative or zero index would otherwise wrap onto another cell's
+    # diagonal slot: (-1, 2) read (3, 2)'s cost.
+    s, q = TimeSeries("s", [0, 1, 2]), TimeSeries("q", [0, 2])
+    sm = _filled(s, q, 0.5)
+    for query in (sm.is_open, sm.accumulated):
+        with pytest.raises(IndexError, match=rf"cell \({i}, {j}\) is off the 3 x 2 matrix"):
+            query(i, j)
 
 
 def test_sparse_matrix_equality_is_identity():

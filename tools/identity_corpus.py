@@ -29,8 +29,10 @@ public stage functions, and both series through ``quantize``.  A
 record holds raw costs as float.hex, paths, cell counts, dc splits and
 SpaceStats, sparse matrix contents, quantized samples as float.hex, or
 the error type and message.  A stage record hashes the matrix's column
-views, its ``accumulated`` query as float.hex over every open cell and,
-on pairs of up to 4,000 cells, its ``is_open`` query over every cell.
+views, its ``accumulated`` query as float.hex over every open cell, its
+``dump_lines`` dump and, on pairs of up to 4,000 cells, its ``is_open``
+query over every cell.  ``dump_lines`` is called with the matrix alone
+where the version's takes only that, and with the two series before.
 The ``bench`` records hold ``run_benchmark``'s rows (``elapsed_ms``
 dropped) and failures for full, dc, band at width 2 and sparse at
 res 0.25 on the CLI pairs below and the four strongly non-square pairs, and for band at width 0 on
@@ -53,6 +55,7 @@ fields, prints the largest relative difference of the ``cost`` and
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -251,10 +254,15 @@ def dump(src: str, out_path: str) -> None:
     from tswarp.cli import main
     from tswarp.divide import backward_space_efficient, forward_space_efficient
     from tswarp.full import backtrack, cost_matrix
-    from tswarp.sparse import forward_pass, populate, sparse_backtrack
+    from tswarp.sparse import dump_lines, forward_pass, populate, sparse_backtrack
 
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def dumped(sm, s, q):
+        if len(inspect.signature(dump_lines).parameters) == 1:
+            return dump_lines(sm)
+        return dump_lines(sm, s, q)
 
     def stages(s, q, res):
         sm = populate(tw.quantize(s), tw.quantize(q), tw.build_bins(res), s, q)
@@ -272,6 +280,7 @@ def dump(src: str, out_path: str) -> None:
             "unblocked": sm.unblocked,
             "path": [list(p) for p in sparse_backtrack(sm)],
             "accumulated": sha(",".join(sm.accumulated(i, j).hex() for i, j in cells)),
+            "dump": sha("\n".join(dumped(sm, s, q))),
         }
         if n * m <= 4000:
             grid = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
