@@ -580,25 +580,49 @@ class TestStagedInputs:
 
 
 class TestBeforeForwardPass:
-    def test_only_the_bin_opened_rows_are_read(self):
-        sm = populate(
+    @pytest.fixture
+    def sm(self):
+        return populate(
             quantize(S_FIXTURE), quantize(Q_FIXTURE), build_bins(0.5),
             S_FIXTURE, Q_FIXTURE,
         )
-        assert sum(map(len, sm.col_rows)) == 18
+
+    def test_views_and_queries_read_the_bin_opened_cells(self, sm):
+        # Before the forward pass only col_rows reads the bin-opened set;
+        # every other view and query waits for the finished store.
+        rows = sm.col_rows
+        assert sum(map(len, rows)) == 18
         readers = [
             lambda: sm.open_count,
             sm.open_cells,
             lambda: sm.col_open_rows,
             lambda: sm.col_vals,
             lambda: sm.is_open(1, 1),
-            lambda: sm.accumulated(1, 1),
-            lambda: sparse_backtrack(sm),
-            lambda: dump_lines(sm),
         ]
         for read in readers:
             with pytest.raises(RuntimeError, match="forward pass has not run yet"):
                 read()
+        forward_pass(sm, S_FIXTURE, Q_FIXTURE)
+        assert sm.col_rows == rows
+        for j in range(1, 6):
+            for i in rows[j - 1]:
+                assert sm.is_open(i + 1, j)
+
+    def test_costs_and_path_need_the_forward_pass(self, sm):
+        with pytest.raises(RuntimeError, match="forward pass has not run yet"):
+            sm.accumulated(1, 1)
+        with pytest.raises(RuntimeError, match="forward pass has not run yet"):
+            sparse_backtrack(sm)
+
+    def test_dump_leaves_the_accumulated_field_empty(self, sm):
+        # The dump reads only the finished store, so there is no dump with
+        # an empty accumulated field: before the forward pass it raises.
+        with pytest.raises(RuntimeError, match="forward pass has not run yet"):
+            dump_lines(sm)
+        forward_pass(sm, S_FIXTURE, Q_FIXTURE)
+        lines = dump_lines(sm)
+        assert len(lines) == sm.open_count
+        assert all(ln.split(",")[4] != "" for ln in lines)
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-1, 2), (4, 1), (1, 3), (0, 0)])
