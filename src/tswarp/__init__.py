@@ -8,7 +8,6 @@ values fall in a common bin.
 
 from .band import BandDisconnectedError, BandSpec, dtw_band, min_connecting_width
 from .bench import (
-    BenchError,
     BenchRecord,
     DataFormatError,
     SyntheticSpec,
@@ -20,6 +19,7 @@ from .bench import (
 )
 from .core import (
     AlignmentResult,
+    BrokenPathError,
     CostOverflowError,
     PathVerdict,
     QuantizedSeries,
@@ -41,7 +41,6 @@ from .divide import (
 )
 from .full import CostMatrix, MatrixBudgetError, cost_matrix, dtw_full
 from .sparse import (
-    BrokenPathError,
     SparseConnectivityError,
     SparseMatrix,
     build_bins,
@@ -56,7 +55,6 @@ __all__ = [
     "AlignmentResult",
     "BandDisconnectedError",
     "BandSpec",
-    "BenchError",
     "BenchRecord",
     "BrokenPathError",
     "CostMatrix",

@@ -40,6 +40,8 @@ class BandSpec:
 
     def __post_init__(self):
         try:
+            if isinstance(self.width, bool):
+                raise TypeError
             operator.index(self.width)
         except TypeError:
             raise ValueError(f"band width must be an integer, got {self.width!r}") from None

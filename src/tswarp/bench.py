@@ -18,7 +18,6 @@ from .divide import forward_space_efficient
 __all__ = [
     "SyntheticSpec",
     "BenchRecord",
-    "BenchError",
     "DataFormatError",
     "generate_pair",
     "pearson",
@@ -27,10 +26,6 @@ __all__ = [
     "write_csv",
     "CSV_HEADER",
 ]
-
-class BenchError(RuntimeError):
-    """A benchmark run could not be carried out."""
-
 
 class DataFormatError(ValueError):
     """A dataset file failed to parse; the message names the line."""
@@ -254,9 +249,10 @@ def run_benchmark(
                     times.append(time.perf_counter() - t0)
                 verdict = validate_path(result.path, len(s), len(q))
                 if not verdict:
-                    raise BenchError(
-                        f"invalid path ({verdict.violation} violation)"
+                    failures.append(
+                        (name, algo, f"invalid path ({verdict.violation} violation)")
                     )
+                    continue
                 records.append(
                     BenchRecord.from_result(
                         name, algo, result, len(s), len(q),

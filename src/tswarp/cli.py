@@ -31,7 +31,7 @@ from .bench import (
 from .core import AlignmentResult, TimeSeries, quantize
 from .divide import dc_align
 from .full import dtw_full
-from .sparse import build_bins, dump_lines, forward_pass, populate, sparse_dtw
+from .sparse import DEFAULT_RES, build_bins, dump_lines, forward_pass, populate, sparse_dtw
 
 __all__ = ["main"]
 
@@ -227,7 +227,7 @@ def _build_parser() -> _Parser:
         "--algo", choices=("full", "band", "dc", "sparse"), default="full"
     )
     p_align.add_argument("--width", type=int, default=None)
-    p_align.add_argument("--res", type=float, default=0.5)
+    p_align.add_argument("--res", type=float, default=DEFAULT_RES)
     p_align.add_argument("--mid-mode", choices=("ceil", "floor"), default="ceil")
     p_align.add_argument(
         "--dump-sm", action="store_true", help="attach the sparse-matrix dump"
@@ -238,7 +238,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("series_a")
     p_cmp.add_argument("series_b")
     p_cmp.add_argument("--width", type=int, default=None)
-    p_cmp.add_argument("--res", type=float, default=0.5)
+    p_cmp.add_argument("--res", type=float, default=DEFAULT_RES)
     p_cmp.add_argument("--mid-mode", choices=("ceil", "floor"), default="ceil")
     p_cmp.add_argument("--json", action="store_true")
     p_cmp.set_defaults(func=_cmd_compare)
@@ -259,7 +259,7 @@ def _build_parser() -> _Parser:
         "--algos", type=lambda t: [x.strip() for x in t.split(",") if x.strip()],
         default=["full", "sparse"],
     )
-    p_bench.add_argument("--res", type=float, default=0.5)
+    p_bench.add_argument("--res", type=float, default=DEFAULT_RES)
     p_bench.add_argument("--widths", type=_int_list, default=[])
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)

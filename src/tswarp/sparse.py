@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import (
     AlignmentResult,
-    BrokenPathError,
     QuantizedSeries,
     TimeSeries,
     WarpingPath,
@@ -51,7 +50,6 @@ __all__ = [
     "BinSet",
     "SparseMatrix",
     "SparseConnectivityError",
-    "BrokenPathError",
     "build_bins",
     "populate",
     "lower_neighbors",
@@ -94,7 +92,7 @@ class BinSet:
 
 def build_bins(res: float) -> BinSet:
     """Bins covering [0, 1]: width res, stride res/2, closed bounds."""
-    if not (0.0 < res <= 1.0):
+    if isinstance(res, bool) or not (0.0 < res <= 1.0):
         raise ValueError(f"resolution must be in (0, 1], got {res}")
     half = res / 2.0
     bins = []
@@ -115,7 +113,7 @@ def lower_neighbors(c: int, n: int) -> set[int]:
     """
     row = (c - 1) % n + 1
     out = set()
-    if row > 1 and c - 1 >= 1:
+    if row > 1:
         out.add(c - 1)
     if c - n >= 1:
         out.add(c - n)
@@ -127,13 +125,12 @@ def lower_neighbors(c: int, n: int) -> set[int]:
 def upper_neighbors(c: int, n: int, m: int) -> set[int]:
     """In-range upper neighbors of linear cell c on an n x m grid."""
     row = (c - 1) % n + 1
-    last = n * m
     out = set()
-    if row < n and c + 1 <= last:
+    if row < n:
         out.add(c + 1)
-    if c + n <= last:
+    if c + n <= n * m:
         out.add(c + n)
-        if row < n and c + n + 1 <= last:
+        if row < n:
             out.add(c + n + 1)
     return out
 
@@ -582,6 +579,5 @@ def dump_lines(sm: SparseMatrix) -> list[str]:
     for j, r, v in zip(cols.tolist(), rows.tolist(), sm._costs()[order].tolist()):
         lc = local_distance(sv[r], qv[j])
         lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
-        a_txt = "inf" if v == _INF else f"{v:g}"
-        out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{a_txt},1")
+        out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{v:g},1")
     return out

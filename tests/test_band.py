@@ -18,7 +18,7 @@ class TestBandSpec:
         with pytest.raises(ValueError):
             BandSpec(-1)
 
-    @pytest.mark.parametrize("width", [2.0, 2.5, "2", None])
+    @pytest.mark.parametrize("width", [2.0, 2.5, "2", None, True])
     def test_rejects_a_width_that_is_not_an_integer(self, width):
         with pytest.raises(ValueError, match=f"band width must be an integer, got {width!r}"):
             BandSpec(width)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestBuildBins:
         # stride res/2 = 0.125; lower bounds 0 .. 0.875.
         assert len(build_bins(0.25)) == 8
 
-    @pytest.mark.parametrize("res", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("res", [0.0, -0.5, 1.5, True])
     def test_rejects_bad_resolution(self, res):
         with pytest.raises(ValueError):
             build_bins(res)
@@ -89,6 +90,20 @@ class TestNeighbors:
         for c in range(1, n * m + 1):
             for u in upper_neighbors(c, n, m):
                 assert c in lower_neighbors(u, n)
+
+    def test_neighbor_sets_match_their_definition(self):
+        # Every cell of every grid up to 12 x 12, one-row and one-column
+        # grids included, against the in-matrix cells one step away.
+        for n, m in itertools.product(range(1, 13), repeat=2):
+            def linear(cells):
+                return {(j - 1) * n + i for i, j in cells if 1 <= i <= n and 1 <= j <= m}
+
+            for i, j in itertools.product(range(1, n + 1), range(1, m + 1)):
+                c = (j - 1) * n + i
+                lower = linear([(i - 1, j), (i, j - 1), (i - 1, j - 1)])
+                upper = linear([(i + 1, j), (i, j + 1), (i + 1, j + 1)])
+                assert lower_neighbors(c, n) == lower, (n, m, i, j)
+                assert upper_neighbors(c, n, m) == upper, (n, m, i, j)
 
 
 class TestWorkedExample:

@@ -31,15 +31,11 @@ SpaceStats, sparse matrix contents, quantized samples as float.hex, or
 the error type and message.  A stage record hashes the matrix's column
 views, its ``accumulated`` query as float.hex over every open cell, its
 ``dump_lines`` dump and, on pairs of up to 4,000 cells, its ``is_open``
-query over every cell.  ``dump_lines`` is called with the matrix alone
-where the version's takes only that, and with the two series before.
-The ``bench`` records hold ``run_benchmark``'s rows (``elapsed_ms``
-dropped) and failures for full, dc, band at width 2 and sparse at
+query over every cell.  The ``bench`` records hold ``run_benchmark``'s
+rows (``elapsed_ms`` dropped) and failures for full, dc, band at width 2 and sparse at
 res 0.25 on the CLI pairs below and the four strongly non-square pairs, and for band at width 0 on
 zeros 4,001 x 4,001, a pair past the dense cell budget.  Each failure
-is written as ``dataset/algorithm: message``, whether the version
-returns it as that string or as a (dataset, algorithm, message) triple,
-so that two versions compare equal across that change of type.  The ``cli``
+is written as ``dataset/algorithm: message``.  The ``cli``
 records run ``tswarp.cli.main`` on a few corpus pairs written to
 files: ``align`` with every algorithm and ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
@@ -55,7 +51,6 @@ fields, prints the largest relative difference of the ``cost`` and
 import contextlib
 import csv
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -140,9 +135,7 @@ def _bench(tw, name, s, q, algorithms):
     ``dataset/algorithm: message`` strings."""
     records, failures = tw.run_benchmark([(name, s, q)], algorithms, repeats=1)
     rows = [{k: v for k, v in r.cells().items() if k != "elapsed_ms"} for r in records]
-    # Versions before the failure triples return each failure as that string.
-    failures = [f if isinstance(f, str) else "{}/{}: {}".format(*f) for f in failures]
-    return {"rows": rows, "failures": failures}
+    return {"rows": rows, "failures": ["{}/{}: {}".format(*f) for f in failures]}
 
 
 def _cli_output(argv, code, out, err, tmp):
@@ -259,11 +252,6 @@ def dump(src: str, out_path: str) -> None:
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def dumped(sm, s, q):
-        if len(inspect.signature(dump_lines).parameters) == 1:
-            return dump_lines(sm)
-        return dump_lines(sm, s, q)
-
     def stages(s, q, res):
         sm = populate(tw.quantize(s), tw.quantize(q), tw.build_bins(res), s, q)
         forward_pass(sm, s, q)
@@ -280,7 +268,7 @@ def dump(src: str, out_path: str) -> None:
             "unblocked": sm.unblocked,
             "path": [list(p) for p in sparse_backtrack(sm)],
             "accumulated": sha(",".join(sm.accumulated(i, j).hex() for i, j in cells)),
-            "dump": sha("\n".join(dumped(sm, s, q))),
+            "dump": sha("\n".join(dump_lines(sm))),
         }
         if n * m <= 4000:
             grid = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
