@@ -48,6 +48,7 @@ from .core import (
 
 __all__ = [
     "BinSet",
+    "MIN_RES",
     "SparseMatrix",
     "SparseConnectivityError",
     "build_bins",
@@ -76,32 +77,40 @@ class SparseConnectivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class BinSet:
-    """Overlapping quantization bins.
-
-    Bin width equals ``res``; consecutive lower bounds advance by
-    ``res / 2``, so each bin overlaps its neighbor by half a width and
-    there are 2/res bins when res divides evenly.
+    """Overlapping quantization bins, as arithmetic: bin k < ``count`` is
+    [k * res / 2, k * res / 2 + res], so each bin overlaps its neighbor by
+    half a width and there are 2/res bins when res divides evenly.
     """
 
     res: float
-    bins: tuple[tuple[float, float], ...]
+    count: int
+
+    @property
+    def bins(self) -> tuple[tuple[float, float], ...]:
+        half = self.res / 2.0
+        return tuple((k * half, k * half + self.res) for k in range(self.count))
 
     def __len__(self) -> int:
-        return len(self.bins)
+        return self.count
+
+
+# ``populate`` groups columns by the int64 key first * count + last, which
+# wraps once count**2 >= 2**63; at res 2**-30 the count is 2**31.
+MIN_RES = 2**-30
 
 
 def build_bins(res: float) -> BinSet:
     """Bins covering [0, 1]: width res, stride res/2, closed bounds."""
     if isinstance(res, bool) or not (0.0 < res <= 1.0):
         raise ValueError(f"resolution must be in (0, 1], got {res}")
+    if res < MIN_RES:
+        raise ValueError(f"resolution must be at least MIN_RES = 2**-30, got {res}")
     half = res / 2.0
-    bins = []
-    k = 0
-    while k * half <= 1.0 - half + 1e-12:
-        lo = k * half
-        bins.append((lo, lo + res))
-        k += 1
-    return BinSet(res, tuple(bins))
+    bound = 1.0 - half + 1e-12
+    # The count is the first k with k * half > bound.  ``//`` floors the
+    # exact quotient, so only the next bin's rounded start can fall on it.
+    k = int(bound // half)
+    return BinSet(res, k + 1 + ((k + 1) * half <= bound))
 
 
 def lower_neighbors(c: int, n: int) -> set[int]:
@@ -300,7 +309,8 @@ def populate(
     s: TimeSeries,
     q: TimeSeries,
 ) -> SparseMatrix:
-    """Open every cell whose quantized samples co-occupy a bin.
+    """Open every cell whose quantized samples co-occupy a bin, each
+    sample's bins worked out from ``bins.res`` by arithmetic.
 
     The corner cells (1,1) and (n,m) are force-opened: the boundary
     constraint puts them on every path, and bin membership alone does
@@ -324,21 +334,25 @@ def populate(
             raise ValueError("quantized samples must lie in [0, 1]")
     n = sv.size
     nb = len(bins)
-    # Sample v lies in bin k when lows[k] <= v <= highs[k].  Both bounds
-    # ascend, so v's bins are the contiguous range first..last found
-    # below, never empty for v in [0, 1], and two samples share a bin
-    # when their ranges overlap.  Columns are grouped by range, and each
-    # group shares one mask.  The ranges are compared in the narrowest
-    # dtype, for which numpy buffers the broadcast least.
-    lows, highs = np.array(bins.bins).T
+    res = bins.res
+    half = res / 2.0
+    # Sample v lies in bin k when k * half <= v <= k * half + res, so its
+    # bins are a range first..last, never empty for v in [0, 1], and two
+    # samples share a bin when their ranges overlap.  Against the bounds'
+    # own floats, ``last`` (``//`` floors exactly) can be one short and
+    # ``first`` one off either way.  Columns are grouped by range, each
+    # group sharing one mask; ranges are compared in the narrowest dtype,
+    # for which numpy buffers the broadcast least.
+    v = np.concatenate([sv, qv])
+    last = v // half
+    last += (last + 1) * half <= v
+    first = np.ceil((v - res) / half)
+    first -= (first - 1) * half + res >= v
+    first += first * half + res < v
+    first, last = (x.clip(0, nb - 1, out=x).astype(np.int64) for x in (first, last))
     small = np.min_scalar_type(nb)
-
-    def bin_range(v):
-        return np.searchsorted(highs, v, side="left"), np.searchsorted(lows, v, side="right") - 1
-
-    s_first, s_last = (x.astype(small) for x in bin_range(sv))
-    first, last = bin_range(qv)
-    keys, col_key = np.unique(first * nb + last, return_inverse=True)
+    s_first, s_last = first[:n].astype(small), last[:n].astype(small)
+    keys, col_key = np.unique(first[n:] * nb + last[n:], return_inverse=True)
     first, last = (x.astype(small)[:, None] for x in np.divmod(keys, nb))
     rows = (s_first <= last) & (s_last >= first)
     masks = _ints(np.packbits(rows, axis=1, bitorder="little"))

@@ -38,15 +38,15 @@ def test_exact_configurations_reproduce_full_bit_for_bit(a, b):
     q = TimeSeries("q", b)
     n, m = len(a), len(b)
     full = dtw_full(s, q)
-    exact = [
-        dtw_band(s, q, BandSpec(max(n, m))),
-        sparse_dtw(s, q, res=1.0),
-    ]
+    sparse = sparse_dtw(s, q, res=1.0)
+    exact = [dtw_band(s, q, BandSpec(max(n, m))), sparse]
     if n <= 2 or m <= 2:  # dc's base case: one dense subproblem
         exact.append(dc_align(s, q))
     for r in exact:
         assert r.raw_cost == full.raw_cost
         assert list(r.path) == list(full.path)
+    # At res 1, bin 0 is [0, 1] and holds every quantized sample.
+    assert sparse.computed_cells == n * m
 
 
 samples = st.floats(-100, 100, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0])

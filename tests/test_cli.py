@@ -336,6 +336,7 @@ class TestSettings:
         (["--width", "-1"], "band width must be >= 0"),
         (["--res", "0"], "resolution must be in (0, 1], got 0.0"),
         (["--res", "1.5"], "resolution must be in (0, 1], got 1.5"),
+        (["--res", "1e-12"], "resolution must be at least MIN_RES = 2**-30, got 1e-12"),
     ]
 
     @pytest.fixture
@@ -356,9 +357,20 @@ class TestSettings:
         assert captured.err == f"usage error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", BAD)
+    def test_align(self, pair_files, capsys, flags, message):
+        algo = "band" if flags[0] == "--width" else "sparse"
+        capsys.readouterr()
+        assert main(["align", *pair_files, "--algo", algo, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags, message", [
         (["--algos", "band", "--widths", "2,-1"], "band width must be >= 0"),
         (["--algos", "sparse", "--res", "0"], "resolution must be in (0, 1], got 0.0"),
+        (["--algos", "sparse", "--res", "1e-12"],
+         "resolution must be at least MIN_RES = 2**-30, got 1e-12"),
     ])
     def test_bench(self, tmp_path, capsys, flags, message):
         out = tmp_path / "r.csv"

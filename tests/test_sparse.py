@@ -22,7 +22,7 @@ from tswarp import (
     validate_path,
 )
 from tswarp.core import QuantizedSeries, backtrack_path
-from tswarp.sparse import dump_lines, forward_pass, populate, sparse_backtrack
+from tswarp.sparse import MIN_RES, dump_lines, forward_pass, populate, sparse_backtrack
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -50,8 +50,48 @@ class TestBuildBins:
 
     @pytest.mark.parametrize("res", [0.0, -0.5, 1.5, True])
     def test_rejects_bad_resolution(self, res):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
             build_bins(res)
+
+    def test_rejects_resolution_below_the_floor(self):
+        with pytest.raises(ValueError, match="at least MIN_RES"):
+            build_bins(np.nextafter(MIN_RES, 0.0))
+
+    def test_floor_resolution_keeps_no_table(self):
+        tracemalloc.start()
+        try:
+            bs = build_bins(MIN_RES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bs) == 2**31
+        assert peak < 1024, peak
+
+    # res = 2 (1 + 1e-12) / N for N = 13, 14 and 18 puts bin N - 1's start
+    # on the loop's bound, 1 - res / 2 + 1e-12, up to rounding: the floored
+    # quotient then stops one bin short.
+    ON_BOUND = [0.1538461538463077, 0.1428571428572857, 0.11111111111122222]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(MIN_RES, 1.0) | st.sampled_from(ON_BOUND))
+    def test_count_stops_where_the_bound_is_passed(self, res):
+        half = res / 2.0
+        count = len(build_bins(res))
+        assert (count - 1) * half <= 1.0 - half + 1e-12 < count * half
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1.0) | st.sampled_from([1e-3, 0.1, 0.3, 1 / 3, 0.7, 1.0, *ON_BOUND]))
+    def test_bins_are_the_loop_s_bins(self, res):
+        # The loop that defines the bins, kept as the reference for the
+        # arithmetic.
+        half = res / 2.0
+        bins = []
+        k = 0
+        while k * half <= 1.0 - half + 1e-12:
+            lo = k * half
+            bins.append((lo, lo + res))
+            k += 1
+        assert build_bins(res).bins == tuple(bins)
 
 
 class TestBinMembership:
@@ -63,6 +103,25 @@ class TestBinMembership:
         q_idx = {j + 1 for j in range(len(qq)) if lo <= qq[j] <= hi}
         assert s_idx == {1, 2, 4, 5}
         assert q_idx == {1, 4, 5}
+
+    @pytest.mark.parametrize("res", [0.1, 0.3, 1 / 3, 0.7])
+    def test_samples_on_and_beside_every_bound(self, res):
+        # Every bound in [0, 1] and both of its float neighbours, against
+        # ``lo <= v <= hi`` over the listed bins.
+        bins = build_bins(res)
+        bounds = np.array(bins.bins)
+        edges = bounds.ravel()
+        v = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)])
+        v = np.unique(v[(v >= 0.0) & (v <= 1.0)])
+        s = TimeSeries("s", v)
+        q = TimeSeries("q", v[::-1])
+        sm = populate(_quantized(v), _quantized(v[::-1]), bins, s, q)
+        lo, hi = bounds.T
+        in_s = (lo <= v[:, None]) & (v[:, None] <= hi)
+        in_q = in_s[::-1]
+        shared = (in_s.astype(int) @ in_q.T.astype(int)) > 0
+        shared[0, 0] = shared[-1, -1] = True  # the forced corners
+        assert sm.col_rows == [np.flatnonzero(col).tolist() for col in shared.T]
 
 
 class TestNeighbors:
@@ -265,6 +324,15 @@ class TestSparseDtw:
                 tracemalloc.stop()
             assert peak < bound * r.computed_cells, (L, peak / r.computed_cells)
 
+    @pytest.mark.parametrize("res", [1e-5, MIN_RES])
+    def test_fine_resolutions_are_served(self, res):
+        # A table of 2 / res bins would take about 0.1 s on this pair at
+        # res 1e-5 and exhaust memory towards res 1e-8.
+        s, q = generate_pair(SyntheticSpec(50, 0.5, 7))
+        r = sparse_dtw(s, q, res)
+        assert validate_path(r.path, 50, 50)
+        assert r.raw_cost >= dtw_full(s, q).raw_cost
+
     def test_populate_peak_memory(self):
         # Bin ranges compared as small integers: about 1 B per matrix
         # cell, where float64 sample comparisons against bin bounds
@@ -414,7 +482,7 @@ samples = st.lists(
 
 class TestRunCompressedStorage:
     @settings(max_examples=150, deadline=None)
-    @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
     def test_views_and_queries_describe_the_same_cells(self, a, b, res):
         s = TimeSeries("s", a)
         q = TimeSeries("q", b)

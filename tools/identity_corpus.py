@@ -17,19 +17,20 @@ The corpus is 300 tie-heavy integer pairs (samples in [-2, 2], lengths
 1-12), 60 Gaussian pairs of unequal lengths 1-39, generated pairs at
 L in {60, 63, 64, 65, 120, 250} (63-65 put the last row on either side
 of a 64-bit word) x rho in {0, 0.5, 0.95, 0.99} x two seeds, four
-strongly non-square generated pairs, eight pairs whose samples all sit
-on the bin bounds of one of the four resolutions, two overflowing
+strongly non-square generated pairs, ten pairs whose samples all sit
+on the bin bounds of one of res 0.1, 0.25, 0.3, 0.5 and 1, two overflowing
 pairs (3 x 3, and 2 x 3 so that a message naming n and m swapped
 shows), a pair whose first series spans more than the float range and
 a constant pair.  Each pair runs through full, dc (ceil, and floor
 on small pairs), band at seven widths (narrow ones disconnect on
 non-square pairs), band at the least connecting width and one below it
-(when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0, plus the
-public stage functions, and both series through ``quantize``.  A
-record holds raw costs as float.hex, paths, cell counts, dc splits and
-SpaceStats, sparse matrix contents, quantized samples as float.hex, or
-the error type and message.  A stage record hashes the matrix's column
-views, its ``accumulated`` query as float.hex over every open cell, its
+(when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0 (and 0.3
+on the bin-bound pairs), plus the public stage functions, and both
+series through ``quantize``.  A record holds raw costs as float.hex,
+paths, cell counts, dc splits and SpaceStats, sparse matrix contents,
+quantized samples as float.hex, or the error type and message.  A
+stage record hashes the matrix's column views, its ``accumulated``
+query as float.hex over every open cell, its
 ``dump_lines`` dump and, on pairs of up to 4,000 cells, its ``is_open``
 query over every cell.  The ``bench`` records hold ``run_benchmark``'s
 rows (``elapsed_ms`` dropped) and failures for full, dc, band at width 2 and sparse at
@@ -108,7 +109,7 @@ def _pairs(tw, np):
     # Samples on bin bounds: multiples of res / 2 (the lower bounds) and
     # those plus res (the upper ones).  Each series holds 0 and 1, so
     # quantizing leaves every sample on its bound.
-    for res in (0.1, 0.25, 0.5, 1.0):
+    for res in (0.1, 0.25, 0.3, 0.5, 1.0):
         half = res / 2.0
         k = np.arange(round(1 / half) + 1)
         edges = np.unique(np.concatenate([k * half, k * half + res]))
@@ -310,7 +311,9 @@ def dump(src: str, out_path: str) -> None:
         for w in range(max(least - 1, 0), least + 1):
             band = lambda: _record(tw.dtw_band(s, q, tw.BandSpec(w)))
             r[f"band-least{w - least:+d}"] = _guarded(band)
-        for res in (0.1, 0.25, 0.5, 1.0):
+        # Bin-bound pairs also run at 0.3, whose bounds (multiples of 0.15)
+        # are inexact in binary.
+        for res in (0.1, 0.25, 0.5, 1.0) + ((0.3,) if name.startswith("edge") else ()):
             r[f"sparse{res}"] = _guarded(lambda: _record(tw.sparse_dtw(s, q, res=res)))
             r[f"stages{res}"] = _guarded(lambda: stages(s, q, res))
         if name in _BENCH_PAIRS:
