@@ -75,15 +75,34 @@ class SparseConnectivityError(RuntimeError):
     """
 
 
+# ``populate`` groups columns by the int64 key first * count + last, which
+# wraps once count**2 >= 2**63; at res 2**-30 the count is 2**31.
+MIN_RES = 2**-30
+
+
 @dataclass(frozen=True)
 class BinSet:
     """Overlapping quantization bins, as arithmetic: bin k < ``count`` is
     [k * res / 2, k * res / 2 + res], so each bin overlaps its neighbor by
-    half a width and there are 2/res bins when res divides evenly.
+    half a width and there are 2/res bins when res divides evenly.  Built
+    from ``res`` alone, which it checks, working ``count`` out from it.
     """
 
     res: float
-    count: int
+    count: int = field(init=False)
+
+    def __post_init__(self):
+        res = self.res
+        if isinstance(res, bool) or not (0.0 < res <= 1.0):
+            raise ValueError(f"resolution must be in (0, 1], got {res}")
+        if res < MIN_RES:
+            raise ValueError(f"resolution must be at least MIN_RES = 2**-30, got {res}")
+        half = res / 2.0
+        bound = 1.0 - half + 1e-12
+        # The count is the first k with k * half > bound.  ``//`` floors the
+        # exact quotient, so only the next bin's rounded start can fall on it.
+        k = int(bound // half)
+        object.__setattr__(self, "count", k + 1 + ((k + 1) * half <= bound))
 
     @property
     def bins(self) -> tuple[tuple[float, float], ...]:
@@ -94,23 +113,9 @@ class BinSet:
         return self.count
 
 
-# ``populate`` groups columns by the int64 key first * count + last, which
-# wraps once count**2 >= 2**63; at res 2**-30 the count is 2**31.
-MIN_RES = 2**-30
-
-
 def build_bins(res: float) -> BinSet:
     """Bins covering [0, 1]: width res, stride res/2, closed bounds."""
-    if isinstance(res, bool) or not (0.0 < res <= 1.0):
-        raise ValueError(f"resolution must be in (0, 1], got {res}")
-    if res < MIN_RES:
-        raise ValueError(f"resolution must be at least MIN_RES = 2**-30, got {res}")
-    half = res / 2.0
-    bound = 1.0 - half + 1e-12
-    # The count is the first k with k * half > bound.  ``//`` floors the
-    # exact quotient, so only the next bin's rounded start can fall on it.
-    k = int(bound // half)
-    return BinSet(res, k + 1 + ((k + 1) * half <= bound))
+    return BinSet(res)
 
 
 def lower_neighbors(c: int, n: int) -> set[int]:
@@ -182,20 +187,20 @@ class SparseMatrix:
     with numpy on each access from about 32 transient bytes per open
     cell.
 
-    Only the finished matrix is read: before ``forward_pass`` every
-    view and query but ``col_rows`` raises ``RuntimeError``.
+    Built from ``n``, ``m`` and ``col_bin``, and finished by ``forward_pass``
+    alone, which sets the rest: before it every view, query and count but
+    ``col_rows`` raises ``RuntimeError``.
     """
 
     n: int
     m: int
     col_bin: list[int]
-    diag_open: np.ndarray | None = None
-    diag_off: array | None = None
-    steps: np.ndarray | None = None
-    cost: float | None = None
-    unblocked: int = 0
-    # The forward pass's samples, for the cost sweep's re-run and the dump,
-    # and the re-run's costs.
+    diag_open: np.ndarray | None = field(default=None, init=False)
+    diag_off: array | None = field(default=None, init=False)
+    steps: np.ndarray | None = field(default=None, init=False)
+    cost: float | None = field(default=None, init=False)
+    # The forward pass's samples, for the cost sweep and the dump, and the
+    # re-run sweep's costs.
     _samples: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
     _vals: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -231,8 +236,7 @@ class SparseMatrix:
         """Every open cell's accumulated cost, laid out like ``steps``:
         the cost sweep run again, once."""
         if self._vals is None:
-            count = self.diag_off[-1]
-            self._vals = _sweep(self.n, self.m, self._samples, self.diag_open, count, False)[0]
+            self._vals = _sweep(self, self.diag_off[-1], False)[0]
         return self._vals
 
     @property
@@ -259,6 +263,11 @@ class SparseMatrix:
     def open_count(self) -> int:
         self._check_finished()
         return self.diag_off[-1]
+
+    @property
+    def unblocked(self) -> int:
+        """Open cells that the forward pass opened and the bins did not."""
+        return self.open_count - sum(map(int.bit_count, self.col_bin))
 
     def _above(self, i: int, j: int) -> int:
         """Open slots of 1-based cell (i, j)'s diagonal from the cell's on,
@@ -376,11 +385,9 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     cost came from, and the cost at (n, m); the other costs are dropped.
     Raises ``ValueError`` when ``s`` and ``q`` do not span the matrix.
     """
-    n = sm.n
-    m = sm.m
+    n, m = sm.n, sm.m
     if (len(s), len(q)) != (n, m):
         raise ValueError(f"series of {len(s)} x {len(q)} samples for a {n} x {m} matrix")
-    col_bin = sm.col_bin
     full = (1 << n) - 1
     # --- Pass 1: unblocking closure (open/closed status only). ---
     # Visiting cells in column-major order and opening the upper
@@ -398,17 +405,17 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # another: a column's stuck cells are found in one step.  In the
     # final column a cell's only upper neighbor is the next row, so
     # everything from the first open row down opens.  Cells opened here
-    # are the open cells not opened by bins, counted once at the end.
+    # are the open cells not opened by bins, which ``unblocked`` counts.
     col_open = []
     carry = 0  # rows of column j opened from column j - 1
-    for b, nxt in pairwise(col_bin):
+    for b, nxt in pairwise(sm.col_bin):
         o = b | carry
         carry = o & ~(nxt | (o | nxt) >> 1)  # the stuck cells
         if carry:
             carry |= carry << 1 & full
             o |= carry
         col_open.append(o)
-    o = col_bin[-1] | carry
+    o = sm.col_bin[-1] | carry
     col_open.append(o | (full ^ ((o & -o) - 1)))
     # --- Pass 2: cost sweep over anti-diagonals. ---
     # ``sweep_diagonals`` gives every cost bit for bit as the column
@@ -446,8 +453,10 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         np.ndarray(bits.shape, bool, skew, c0 + 1 - 8 * b0, (width + 1, width))[:] = bits
         chunk[c0 : c0 + len(skew)] = np.packbits(skew, axis=1, bitorder="little")
     del cols, bits, skew  # freed before the step codes are allocated
-    samples = (s.values, q.values)
-    steps, cost = _sweep(n, m, samples, packed, count, True)
+    sm.diag_open = packed
+    sm._samples = (s.values, q.values)
+    sm._vals = None
+    steps, cost = _sweep(sm, count, True)
     if cost == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
@@ -455,31 +464,21 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         )
     # A diagonal holds at most ``size`` open cells.
     counts = np.add.reduce(np.bitwise_count(packed), axis=1, dtype=np.min_scalar_type(size))
-    sm.diag_open = packed
     sm.diag_off = array("q", accumulate(counts.tolist(), initial=0))
     sm.steps = steps
     sm.cost = cost
-    sm.unblocked = count - sum(map(int.bit_count, col_bin))
-    sm._samples = samples
-    sm._vals = None
     return sm
 
 
-def _sweep(
-    n: int,
-    m: int,
-    samples: tuple[np.ndarray, np.ndarray],
-    packed: np.ndarray,
-    count: int,
-    steps: bool,
-) -> tuple[np.ndarray, float]:
-    """The cost sweep over ``packed``, the open set in the sweep's slots
-    (row d, bit c + 1 for swept cell (d - c, c)): each open cell's step
-    code (``steps``) or accumulated cost, diagonal-major with slots
-    ascending, and the accumulated cost at (n, m)."""
+def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float]:
+    """The cost sweep over ``sm.diag_open``, its ``count`` open cells in
+    the sweep's slots (row d, bit c + 1 for swept cell (d - c, c)): each
+    open cell's step code (``steps``) or accumulated cost, diagonal-major
+    with slots ascending, and the accumulated cost at (n, m)."""
+    n, m, packed = sm.n, sm.m, sm.diag_open
     wide = m > n
     size = min(n, m)
-    down, across = samples[::-1] if wide else samples
+    down, across = sm._samples[::-1] if wide else sm._samples
     # Each slot's samples: down_diag[d, c + 1] = down[d - c] (NaN off the
     # matrix) down the swept rows, across_slots[c + 1] = across[c] (NaN
     # in slot 0); the samples run backward in ``padded``, so a row of

@@ -309,6 +309,15 @@ class TestBench:
                      "--algos", "quantum"]) == 1
         assert "unknown algorithm 'quantum'" in capsys.readouterr().err
 
+    def test_failed_pair_is_reported_on_stderr(self, capsys):
+        # The one pair fails, so the CSV is its header alone.
+        assert main(["bench", "--lengths", "4001", "--rhos", "0", "--algos", "full"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("failed: L4001-r0-s0/full: dense matrix needs 16008001 cells")
+        assert captured.err.count("\n") == 1
+        assert captured.out.startswith("dataset,algorithm,")
+        assert len(captured.out.splitlines()) == 1
+
     def test_band_widths_sweep(self, tmp_path):
         out = tmp_path / "b.csv"
         code = main(["bench", "--lengths", "20", "--rhos", "0.9",

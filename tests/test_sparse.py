@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -22,7 +23,15 @@ from tswarp import (
     validate_path,
 )
 from tswarp.core import QuantizedSeries, backtrack_path
-from tswarp.sparse import MIN_RES, dump_lines, forward_pass, populate, sparse_backtrack
+from tswarp.sparse import (
+    MIN_RES,
+    BinSet,
+    SparseMatrix,
+    dump_lines,
+    forward_pass,
+    populate,
+    sparse_backtrack,
+)
 
 S_FIXTURE = TimeSeries("s", [3, 4, 5, 3, 3])
 Q_FIXTURE = TimeSeries("q", [1, 2, 2, 1, 0])
@@ -48,14 +57,23 @@ class TestBuildBins:
         # stride res/2 = 0.125; lower bounds 0 .. 0.875.
         assert len(build_bins(0.25)) == 8
 
-    @pytest.mark.parametrize("res", [0.0, -0.5, 1.5, True])
+    # A BinSet checks its own resolution, so no stage can be handed one
+    # whose count disagrees with it.
+    @pytest.mark.parametrize("res", [0.0, -0.5, 1.5, float("nan"), True])
     def test_rejects_bad_resolution(self, res):
-        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
-            build_bins(res)
+        for make in (build_bins, BinSet):
+            with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+                make(res)
 
     def test_rejects_resolution_below_the_floor(self):
-        with pytest.raises(ValueError, match="at least MIN_RES"):
-            build_bins(np.nextafter(MIN_RES, 0.0))
+        for make in (build_bins, BinSet):
+            for res in (np.nextafter(MIN_RES, 0.0), MIN_RES / 2):
+                with pytest.raises(ValueError, match="at least MIN_RES"):
+                    make(res)
+
+    def test_count_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BinSet(0.25, 2)
 
     def test_floor_resolution_keeps_no_table(self):
         tracemalloc.start()
@@ -78,6 +96,7 @@ class TestBuildBins:
         half = res / 2.0
         count = len(build_bins(res))
         assert (count - 1) * half <= 1.0 - half + 1e-12 < count * half
+        assert BinSet(res) == build_bins(res)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-3, 1.0) | st.sampled_from([1e-3, 0.1, 0.3, 1 / 3, 0.7, 1.0, *ON_BOUND]))
@@ -677,6 +696,7 @@ class TestBeforeForwardPass:
         assert sum(map(len, rows)) == 18
         readers = [
             lambda: sm.open_count,
+            lambda: sm.unblocked,
             sm.open_cells,
             lambda: sm.col_open_rows,
             lambda: sm.col_vals,
@@ -717,6 +737,12 @@ def test_queries_refuse_cells_off_the_matrix(i, j):
     for query in (sm.is_open, sm.accumulated):
         with pytest.raises(IndexError, match=rf"cell \({i}, {j}\) is off the 3 x 2 matrix"):
             query(i, j)
+
+
+def test_sparse_matrix_is_built_from_its_shape_and_bin_opened_rows():
+    # Everything else is the forward pass's output.
+    fields = [f.name for f in dataclasses.fields(SparseMatrix) if f.init]
+    assert fields == ["n", "m", "col_bin"]
 
 
 def test_sparse_matrix_equality_is_identity():

@@ -36,7 +36,9 @@ query over every cell.  The ``bench`` records hold ``run_benchmark``'s
 rows (``elapsed_ms`` dropped) and failures for full, dc, band at width 2 and sparse at
 res 0.25 on the CLI pairs below and the four strongly non-square pairs, and for band at width 0 on
 zeros 4,001 x 4,001, a pair past the dense cell budget.  Each failure
-is written as ``dataset/algorithm: message``.  The ``cli``
+is written as ``dataset/algorithm: message``.  The ``bins`` records
+hold ``build_bins(res).count`` for 400 resolutions drawn uniformly from
+[1e-3, 1] and nine round or on-bound ones.  The ``cli``
 records run ``tswarp.cli.main`` on a few corpus pairs written to
 files: ``align`` with every algorithm and ``--dump-sm``, ``compare`` as JSON and as a table, ``bench`` CSV,
 ``gen``, ``--help``, and the usage, data, write and algorithm errors.  Each
@@ -322,6 +324,10 @@ def dump(src: str, out_path: str) -> None:
     zeros = tw.TimeSeries("z", np.zeros(4001))
     band0 = {"band0": lambda s, q: tw.dtw_band(s, q, tw.BandSpec(0))}
     out["zeros4001"] = {"bench": _guarded(lambda: _bench(tw, "zeros4001", zeros, zeros, band0))}
+    on_bound = [0.1538461538463077, 0.1428571428572857, 0.11111111111122222]
+    grid = np.random.default_rng(21).uniform(1e-3, 1.0, 400).tolist()
+    grid += [1e-3, 0.1, 0.3, 1 / 3, 0.7, 1.0, *on_bound]
+    out["bins"] = {repr(res): _guarded(lambda: {"count": tw.build_bins(res).count}) for res in grid}
     out["cli"] = _cli(tw, np, main)
     with open(out_path, "w") as fh:
         json.dump(out, fh, sort_keys=True)
