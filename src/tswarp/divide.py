@@ -68,29 +68,24 @@ class DCAlignmentResult(AlignmentResult):
 
 @dataclass
 class SpaceStats:
-    """Live DP cell records under the per-subproblem model, so that the
-    linear-space claim is testable.
+    """Peak DP cell records under the per-subproblem model, so that the
+    linear-space claim is testable, and the cells computed.
 
     A split node holds one half's last column (n records) while the
     other half sweeps two rolling columns (2n); a base case holds its
     dense n x m matrix.  Every node frees its records before its
-    children run, so the peak does not depend on the order nodes run
-    in.  The sweeps themselves run batched, a whole recursion level per
-    wavefront, in a buffer of O(block * (m + nodes)) floats that this
-    model does not count.
+    children run, so the peak is the largest node's records, whatever
+    order the nodes run in.  The sweeps themselves run batched, a whole
+    recursion level per wavefront, in a buffer of O(block * (m + nodes))
+    floats that this model does not count.
     """
 
-    current: int = 0
     peak: int = 0
     computed_cells: int = 0
 
-    def alloc(self, cells: int) -> None:
-        self.current += cells
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def free(self, cells: int) -> None:
-        self.current -= cells
+    def node(self, records: int, cells: int) -> None:
+        self.peak = max(self.peak, records)
+        self.computed_cells += cells
 
 
 def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
@@ -164,12 +159,9 @@ def _dense_subpath(
     """
     n = len(s)
     m = len(q)
-    stats.alloc(n * m)
-    stats.computed_cells += n * m
+    stats.node(n * m, n * m)
     cols = list(dense_columns(s, q))
-    path = backtrack_path(lambda i, j: cols[j - 1][i - 1], n, m)
-    stats.free(n * m)
-    return path
+    return backtrack_path(lambda i, j: cols[j - 1][i - 1], n, m)
 
 
 def _solve(
@@ -204,9 +196,7 @@ def _solve(
                 continue
             mid = q_lo + (m_sub + 1 if mid_mode == "ceil" else m_sub) // 2 - 1
             # One half's last column is kept while the other sweeps.
-            stats.alloc(3 * n_sub)
-            stats.computed_cells += n_sub * (m_sub + 1)
-            stats.free(3 * n_sub)
+            stats.node(3 * n_sub, n_sub * (m_sub + 1))
             rows = s[s_lo : s_hi + 1]
             halves += [(rows, q[q_lo : mid + 1]), (rows[::-1], q[mid : q_hi + 1][::-1])]
             inner.append((at, s_lo, s_hi, q_lo, q_hi, mid))

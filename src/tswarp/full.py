@@ -30,14 +30,14 @@ __all__ = [
     "dtw_full",
 ]
 
-# Refuse dense matrices beyond this many cells unless the caller raises
-# the limit explicitly.  Mirrors the point where the dense baseline
-# stops being usable on ordinary hardware.
+# Refuse dense matrices beyond this many cells (128 MB of float64), the
+# point where the dense baseline stops being usable on ordinary
+# hardware.  Sparse at res 1 is exact and keeps about a byte per cell.
 DENSE_CELL_BUDGET = 16_000_000
 
 
 class MatrixBudgetError(RuntimeError):
-    """The dense cost matrix would exceed the configured cell budget."""
+    """The dense cost matrix would exceed ``DENSE_CELL_BUDGET`` cells."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,14 @@ def cost_matrix(s: TimeSeries, q: TimeSeries) -> CostMatrix:
 
     The first row and column are cumulative sums of local costs, so
     D(n, m) is the minimum path cost over all valid warping paths.
-    Raises ``CostOverflowError`` when path costs could overflow.
+    Raises ``MatrixBudgetError`` past ``DENSE_CELL_BUDGET`` cells, then
+    ``CostOverflowError`` when path costs could overflow.
     """
+    if len(s) * len(q) > DENSE_CELL_BUDGET:
+        raise MatrixBudgetError(
+            f"dense matrix needs {len(s) * len(q)} cells, budget is "
+            f"{DENSE_CELL_BUDGET}; sparse at res 1 returns the same cost and path"
+        )
     check_cost_range(s, q)
     sv = s.values.tolist()
     D = np.empty((len(sv), len(q)))
@@ -81,27 +87,16 @@ def backtrack(D: CostMatrix) -> WarpingPath:
     return WarpingPath._of(tuple(path))
 
 
-def dtw_full(
-    s: TimeSeries,
-    q: TimeSeries,
-    max_cells: int = DENSE_CELL_BUDGET,
-) -> AlignmentResult:
+def dtw_full(s: TimeSeries, q: TimeSeries) -> AlignmentResult:
     """Optimal alignment via the dense cumulative matrix."""
-    n = len(s)
-    m = len(q)
-    if n * m > max_cells:
-        raise MatrixBudgetError(
-            f"dense matrix needs {n * m} cells, budget is {max_cells}; "
-            "raise max_cells to force the computation"
-        )
     start = time.perf_counter()
     D = cost_matrix(s, q)
     path = backtrack(D)
     elapsed = time.perf_counter() - start
     return AlignmentResult(
         path=path,
-        raw_cost=float(D.cells[n - 1, m - 1]),
-        computed_cells=n * m,
+        raw_cost=float(D.cells[-1, -1]),
+        computed_cells=D.cells.size,
         elapsed=elapsed,
         algorithm_params={"algorithm": "full"},
     )

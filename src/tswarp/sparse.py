@@ -174,7 +174,7 @@ class SparseMatrix:
       touches only those bytes.  That is 1 byte per open cell plus, per
       diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte offset.
       A whole ``sparse_dtw`` call peaks in the sweep, which holds the
-      rows beside the codes and one block of the sweep's costs: 7.9
+      rows beside the codes and one block of the sweep's costs: 7.3
       bytes per open cell (tracemalloc) at L = 120, rho 0, res 0.1, and
       2.8 and 1.7 at L = 1000 and 3000, rho 0.95, res 0.5.
 

@@ -95,45 +95,54 @@ def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
     wavefront must reproduce.
 
     Returns (splits, 1-based path, raw cost, SpaceStats), or raises
-    ``RecursionDepthError`` with ``dc_align``'s message.
+    ``RecursionDepthError`` with ``dc_align``'s message.  The peak comes
+    from a live count of records allocated and freed as the recursion
+    runs, not from ``SpaceStats``' per-node maximum.
     """
     sv = s.values.tolist()
     qv = q.values.tolist()
-    stats = SpaceStats()
+    count = {"live": 0, "peak": 0, "cells": 0}
     splits = []
+
+    def alloc(records):
+        count["live"] += records
+        count["peak"] = max(count["peak"], count["live"])
+
+    def free(records):
+        count["live"] -= records
 
     def last_column(a, b):
         n = len(a)
-        stats.alloc(2 * n)
-        stats.computed_cells += n * len(b)
+        alloc(2 * n)
+        count["cells"] += n * len(b)
         for col in dense_columns(a, b):
             pass
-        stats.free(2 * n)
+        free(2 * n)
         return col
 
     def solve(s_lo, s_hi, q_lo, q_hi):
         n_sub = s_hi - s_lo + 1
         m_sub = q_hi - q_lo + 1
         if n_sub <= 2 or m_sub <= 2:
-            stats.alloc(n_sub * m_sub)
-            stats.computed_cells += n_sub * m_sub
+            alloc(n_sub * m_sub)
+            count["cells"] += n_sub * m_sub
             cols = list(dense_columns(sv[s_lo : s_hi + 1], qv[q_lo : q_hi + 1]))
             sub = backtrack_path(lambda i, j: cols[j - 1][i - 1], n_sub, m_sub)
-            stats.free(n_sub * m_sub)
+            free(n_sub * m_sub)
             return [(s_lo + i - 1, q_lo + j - 1) for i, j in sub]
         mid_off = (m_sub + 1) // 2 if mid_mode == "ceil" else m_sub // 2
         mid = q_lo + mid_off - 1
         f = last_column(sv[s_lo : s_hi + 1], qv[q_lo : mid + 1])
-        stats.alloc(n_sub)
+        alloc(n_sub)
         g = last_column(sv[s_lo : s_hi + 1][::-1], qv[mid : q_hi + 1][::-1])[::-1]
-        stats.alloc(n_sub)
+        alloc(n_sub)
         best_row = 0
         best = f[0] + g[0]
         for i in range(1, n_sub):
             if f[i] + g[i] < best:
                 best = f[i] + g[i]
                 best_row = i
-        stats.free(2 * n_sub)
+        free(2 * n_sub)
         split_i = s_lo + best_row
         if split_i == s_lo and mid == q_lo:  # the right half is this box
             raise RecursionDepthError(
@@ -146,6 +155,8 @@ def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
         return left + right[1:]
 
     cells = solve(0, len(sv) - 1, 0, len(qv) - 1)
+    assert count["live"] == 0  # everything freed
+    stats = SpaceStats(count["peak"], count["cells"])
     raw = 0.0
     for i, j in cells:
         d = sv[i] - qv[j]

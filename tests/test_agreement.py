@@ -70,6 +70,18 @@ def _series(n, values):
 pairs = shapes.flatmap(lambda nm: st.tuples(_series(nm[0], samples), _series(nm[1], samples)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs)
+def test_sparse_at_res_1_reproduces_full_bit_for_bit(pair):
+    # The exact route that full's budget refusal names.
+    s = TimeSeries("s", pair[0])
+    q = TimeSeries("q", pair[1])
+    full = dtw_full(s, q)
+    sparse = sparse_dtw(s, q, res=1.0)
+    assert sparse.raw_cost == full.raw_cost
+    assert list(sparse.path) == list(full.path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pairs, st.sampled_from([0.1, 0.25, 0.5, 1.0]))
 def test_every_aligner_returns_a_valid_path_no_cheaper_than_full(pair, res):

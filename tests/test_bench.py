@@ -204,7 +204,7 @@ class TestRunBenchmark:
         assert failures == [("p", "full", str(raised.value))]
 
     def test_verdict_above_the_dense_budget(self):
-        # 4,001 x 4,001 cells is past dtw_full's budget; the optimum
+        # 4,001 x 4,001 cells is past cost_matrix's budget; the optimum
         # comes from the linear-space sweep.
         zeros = TimeSeries("z", np.zeros(4001))
         band = {"band": lambda s, q: dtw_band(s, q, BandSpec(0))}

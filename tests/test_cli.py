@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +131,9 @@ class TestAlign:
         z = tmp_path / "z.txt"
         z.write_text("0\n" * 4001)
         assert main(["align", str(z), str(z)]) == 3
-        assert "dense matrix needs 16008001 cells" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dense matrix needs 16008001 cells" in err
+        assert err.endswith("; sparse at res 1 returns the same cost and path\n")
 
     def test_two_series_file_exits_two(self, tmp_path, pair_files, capsys):
         rows = tmp_path / "rows.csv"
@@ -138,6 +144,16 @@ class TestAlign:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["align", str(tmp_path / "no.txt"),
                      str(tmp_path / "pe.txt")]) == 2
+
+    def test_module_run_passes_the_exit_code_to_the_shell(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(tswarp.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "tswarp.cli", "align",
+             str(tmp_path / "no.txt"), str(tmp_path / "pe.txt")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
 
     def test_bad_data_exits_two(self, tmp_path, pair_files):
         bad = tmp_path / "bad.txt"

@@ -51,6 +51,12 @@ class TestTimeSeries:
         assert TimeSeries("x", [1, 2]) == TimeSeries("x", [1.0, 2.0])
         assert TimeSeries("x", [1, 2]) != TimeSeries("x", [1, 3])
 
+    def test_is_unequal_to_other_types(self):
+        s = TimeSeries("x", [1.0])
+        assert s.__eq__([1.0]) is NotImplemented
+        assert s != [1.0]
+        assert s != 1.0
+
 
 class TestLocalDistance:
     def test_squared_difference(self):

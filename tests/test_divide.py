@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import path_cost, random_pair, reference_dc
 from tswarp import (
     DCAlignmentResult,
     RecursionDepthError,
+    SpaceStats,
     SplitPoint,
     TimeSeries,
     backward_space_efficient,
@@ -176,6 +178,13 @@ class TestFloorMidpointPathology:
 
 
 class TestSpaceContract:
+    def test_a_node_raises_the_peak_to_its_records_and_adds_its_cells(self):
+        stats = SpaceStats()
+        stats.node(6, 10)
+        stats.node(4, 3)
+        assert stats == SpaceStats(peak=6, computed_cells=13)
+        assert [f.name for f in fields(SpaceStats)] == ["peak", "computed_cells"]
+
     def test_peak_storage_is_linear(self):
         rng = np.random.default_rng(17)
         n = 400
@@ -184,7 +193,6 @@ class TestSpaceContract:
         r = dc_align(s, q)
         assert r.space is not None
         assert r.space.peak < 10 * (len(s) + len(q))
-        assert r.space.current == 0  # everything freed
 
     def test_traced_memory_grows_linearly(self):
         def peak(n):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import tswarp.full
 from helpers import brute_force_min_cost, path_cost, random_pair
 from tswarp import MatrixBudgetError, TimeSeries, dtw_full, validate_path
 from tswarp.full import backtrack, cost_matrix
@@ -64,13 +67,32 @@ class TestDtwFull:
         assert dtw_full(s, q).computed_cells == 6
 
     def test_budget_error(self):
-        s = TimeSeries("s", np.arange(100.0))
-        with pytest.raises(MatrixBudgetError, match="budget"):
-            dtw_full(s, s, max_cells=99)
+        # Refused before anything is allocated, so this is instant.
+        s = TimeSeries("s", np.zeros(4001))
+        q = TimeSeries("q", np.zeros(4000))
+        msg = ("dense matrix needs 16004000 cells, budget is 16000000; "
+               "sparse at res 1 returns the same cost and path")
+        for dense in (cost_matrix, dtw_full):
+            with pytest.raises(MatrixBudgetError, match=f"^{re.escape(msg)}$"):
+                dense(s, q)
 
-    def test_budget_can_be_raised(self):
-        s = TimeSeries("s", np.arange(100.0))
-        assert dtw_full(s, s, max_cells=10_000).raw_cost == 0.0
+    def test_budget_is_checked_before_the_cost_range(self):
+        s = TimeSeries("s", np.full(4001, 1e200))
+        q = TimeSeries("q", np.full(4000, -1e200))
+        with pytest.raises(MatrixBudgetError):
+            cost_matrix(s, q)
+
+    def test_budget_admits_a_matrix_of_exactly_its_size(self, monkeypatch):
+        monkeypatch.setattr(tswarp.full, "DENSE_CELL_BUDGET", 12)
+        s = TimeSeries("s", np.arange(3.0))
+        assert cost_matrix(s, TimeSeries("q", np.arange(4.0))).cells.size == 12
+        with pytest.raises(MatrixBudgetError, match="needs 15 cells, budget is 12;"):
+            cost_matrix(s, TimeSeries("q", np.arange(5.0)))
+
+    def test_budget_is_not_a_parameter(self):
+        s = TimeSeries("s", np.arange(3.0))
+        with pytest.raises(TypeError):
+            dtw_full(s, s, max_cells=10_000)
 
 
 class TestBacktrack:

@@ -27,7 +27,8 @@ non-square pairs), band at the least connecting width and one below it
 (when that is >= 0), and sparse at res 0.1, 0.25, 0.5 and 1.0 (and 0.3
 on the bin-bound pairs), plus the public stage functions, and both
 series through ``quantize``.  A record holds raw costs as float.hex,
-paths, cell counts, dc splits and SpaceStats, sparse matrix contents,
+paths, cell counts, dc splits and ``SpaceStats`` as ``[peak,
+computed_cells]``, sparse matrix contents,
 quantized samples as float.hex, or the error type and message.  A
 stage record hashes the matrix's column views, its ``accumulated``
 query as float.hex over every open cell, its
@@ -84,7 +85,7 @@ def _record(r):
     }
     if hasattr(r, "splits"):
         out["splits"] = [[sp.q_row, sp.mid_col] for sp in r.splits]
-        out["space"] = [r.space.peak, r.space.computed_cells, r.space.current]
+        out["space"] = [r.space.peak, r.space.computed_cells]
     return out
 
 
