@@ -29,12 +29,19 @@ __all__ = [
     "check_cost_range",
     "sweep_column",
     "dense_columns",
+    "SWEEP_BUFSIZE",
+    "sweep_buffer",
     "sweep_diagonals",
     "backtrack_path",
     "step_codes",
 ]
 
 _INF = float("inf")
+
+# numpy's ufunc buffer, in elements, while a sweep runs: a broadcast over
+# a 2-D block is buffered this many elements at a time, not up to numpy's
+# default 8,192.  numpy takes multiples of 16; 128 to 512 peak alike.
+SWEEP_BUFSIZE = 256
 
 
 class BrokenPathError(RuntimeError):
@@ -317,6 +324,20 @@ def sweep_diagonals(
             np.add(c, best, out=c)
         yield rows[: k + 2]
         rows[:2] = rows[k : k + 2]
+
+
+class sweep_buffer(np.errstate):
+    """numpy's ufunc buffer at ``SWEEP_BUFSIZE`` elements for the body;
+    ``np.errstate`` restores the caller's on leaving (numpy >= 2.0), on
+    return or raise.  Entered once per sweep by the function that loops
+    over ``sweep_diagonals``: held in the generator, the setting would
+    stay on in its caller between blocks and after an unfinished sweep.
+    A subclass, since a ``contextlib.contextmanager`` took about 6 µs to
+    enter against 2."""
+
+    def __enter__(self):
+        super().__enter__()
+        np.setbufsize(SWEEP_BUFSIZE)
 
 
 def backtrack_path(

@@ -28,6 +28,7 @@ from .core import (
     check_cost_range,
     dense_columns,
     local_distance,
+    sweep_buffer,
     sweep_diagonals,
 )
 
@@ -130,8 +131,9 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
         rows *= rows
 
     out = np.empty(samples.size)
-    for rows in sweep_diagonals(width, pads, diags, _BLOCK, fill):
-        out[idx[: len(rows) - 2, ends]] = rows[2:, ends]
+    with sweep_buffer():  # the broadcasts in ``fill``
+        for rows in sweep_diagonals(width, pads, diags, _BLOCK, fill):
+            out[idx[: len(rows) - 2, ends]] = rows[2:, ends]
     return [out[a : a + n] for a, n in zip(starts, ns)]
 
 

@@ -17,7 +17,8 @@ Open cells are stored per anti-diagonal (see ``SparseMatrix``): the
 cost sweep's own packed rows, a bit per diagonal slot, and one flat
 uint8 buffer of step codes in diagonal-major order, 1 byte per open
 cell plus one to two bits per matrix cell, where a dense matrix takes
-8 bytes per cell; a call peaks in the sweep.  The accumulated costs
+8 bytes per cell; a call peaks at little more than that, beside one
+block of the sweep (see ``SparseMatrix``).  The accumulated costs
 are computed again, by the same sweep, only when a caller asks for
 them.  The unblocking pass works on whole columns of bits at a time
 and the cost sweep on whole anti-diagonals of the shorter side.
@@ -43,6 +44,7 @@ from .core import (
     local_distance,
     quantize,
     step_codes,
+    sweep_buffer,
     sweep_diagonals,
 )
 
@@ -174,9 +176,11 @@ class SparseMatrix:
       touches only those bytes.  That is 1 byte per open cell plus, per
       diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte offset.
       A whole ``sparse_dtw`` call peaks in the sweep, which holds the
-      rows beside the codes and one block of the sweep's costs: 7.3
-      bytes per open cell (tracemalloc) at L = 120, rho 0, res 0.1, and
-      2.8 and 1.7 at L = 1000 and 3000, rho 0.95, res 0.5.
+      rows beside the codes and one block of the sweep's costs, open
+      mask and codes: 6.4 bytes per open cell (tracemalloc) at L = 120,
+      rho 0, res 0.1, and 2.7 at L = 1000, rho 0.95, res 0.5.  At
+      L = 3000 the backtrack's bytes copy of the rows peaks higher, at
+      1.7.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
@@ -428,7 +432,7 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # sweep's one copy of the open set, and then the matrix's
     # (``diag_open``).  They are built 64 slots (8 bytes) at a time, so
     # that the open set is unpacked to bools one chunk of swept columns
-    # at a time.
+    # at a time, and each chunk's bools are freed before the next's.
     count = sum(map(int.bit_count, col_open))  # the open cells
     wide = m > n
     size = min(n, m)
@@ -452,7 +456,8 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         skew = np.zeros((bits.shape[0] + bits.shape[1] - 1, width), bool)
         np.ndarray(bits.shape, bool, skew, c0 + 1 - 8 * b0, (width + 1, width))[:] = bits
         chunk[c0 : c0 + len(skew)] = np.packbits(skew, axis=1, bitorder="little")
-    del cols, bits, skew  # freed before the step codes are allocated
+        del bits, skew
+    del cols  # freed before the step codes are allocated
     sm.diag_open = packed
     sm._samples = (s.values, q.values)
     sm._vals = None
@@ -491,12 +496,13 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
         (n + m - 1, size + 1), float, padded, (size - 1 + len(down)) * step, (-step, step)
     )
     across_slots = np.concatenate([pad[:1], across])
+    del pad
     # One problem of min(n, m) + 1 slots; slot 0, the pad, is never
     # open, so its local cost is inf.  Blocks grow with the open cells
     # per slot, so a thin matrix takes few, and its rows stay within
     # about a byte per open cell.  ``fill`` leaves its block's open mask
-    # for the read-back below; the mask is a variable it rebinds, so the
-    # last one is freed as the next is made and at most two are alive.
+    # for the read-back below, which drops it with the block's codes, so
+    # no two blocks' masks or codes are alive at once.
     block = max(8, min(64, count // (8 * (size + 1))))
     is_open = None
 
@@ -506,10 +512,9 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
         is_open = np.unpackbits(
             packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
         ).view(bool)
-        # Copied, then subtracted in place: numpy buffers a ufunc over
-        # operands that do not flatten to one dimension, here only the
-        # broadcast (at most 64 KB), where a subtract straight from the
-        # overlapping rows of ``down_diag`` buffered two blocks.
+        # Copied, then subtracted in place: a subtract straight from the
+        # overlapping rows of ``down_diag`` buffered two blocks.  The
+        # broadcast is buffered ``SWEEP_BUFSIZE`` elements at a time.
         rows[:] = down_diag[d0 : d0 + k]
         rows -= across_slots
         rows *= rows
@@ -517,12 +522,15 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
 
     out = np.empty(count, np.uint8 if steps else float)
     off = 0
-    for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
-        swept = step_codes(rows, wide) if steps else rows[2:]
-        got = swept[is_open]
-        out[off : off + got.size] = got
-        off += got.size
-        last = rows.item(-1, -1)
+    with sweep_buffer():
+        for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
+            swept = step_codes(rows, wide) if steps else rows[2:]
+            got = swept[is_open]
+            out[off : off + got.size] = got
+            off += got.size
+            last = rows.item(-1, -1)
+            del swept, got
+            is_open = None
     return out, last
 
 

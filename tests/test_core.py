@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tswarp import (
+    SyntheticSpec,
     TimeSeries,
     WarpingPath,
+    dc_align,
+    forward_space_efficient,
+    generate_pair,
     local_distance,
     normalized_distance,
     quantize,
+    sparse_dtw,
     validate_path,
 )
-from tswarp.core import BrokenPathError, backtrack_path, step_codes
+from tswarp import divide, sparse
+from tswarp.core import SWEEP_BUFSIZE, BrokenPathError, backtrack_path, step_codes
 
 INF = float("inf")
 
@@ -219,3 +225,34 @@ class TestStepCodes:
             u, c = (j - 1, i - 1) if transposed else (i - 1, j - 1)
             di, dj = hops[codes[u + c, c + 1]]
             assert (i + di, j + dj) == _first_hop(grid, i, j)
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [(sparse, sparse_dtw), (divide, dc_align), (divide, forward_space_efficient)],
+    ids=["sparse_dtw", "dc_align", "forward_space_efficient"],
+)
+def test_sweeps_restore_numpy_buffer_size(monkeypatch, module, run):
+    # The sweeps run under numpy's ufunc buffer of SWEEP_BUFSIZE elements,
+    # and hand the caller back numpy's default whether they return or
+    # raise partway, even with the sweep's generator left suspended.
+    default = 8192  # numpy's own
+    s, q = generate_pair(SyntheticSpec(100, 0.5, 7))
+    assert np.getbufsize() == default
+    run(s, q)
+    assert np.getbufsize() == default
+    sweep = module.sweep_diagonals
+    seen, suspended = [], []
+
+    def second_block_raises(*args):
+        blocks = sweep(*args)
+        suspended.append(blocks)
+        yield next(blocks)
+        seen.append(np.getbufsize())
+        raise RuntimeError("second block")
+
+    monkeypatch.setattr(module, "sweep_diagonals", second_block_raises)
+    with pytest.raises(RuntimeError, match="second block"):
+        run(s, q)
+    assert seen == [SWEEP_BUFSIZE]
+    assert np.getbufsize() == default

@@ -13,11 +13,13 @@ from tswarp import (
     RecursionDepthError,
     SpaceStats,
     SplitPoint,
+    SyntheticSpec,
     TimeSeries,
     backward_space_efficient,
     dc_align,
     dtw_full,
     forward_space_efficient,
+    generate_pair,
     validate_path,
 )
 from tswarp import divide
@@ -207,6 +209,19 @@ class TestSpaceContract:
                 tracemalloc.stop()
 
         assert peak(2000) <= 2.2 * peak(1000)
+
+    def test_traced_memory_of_a_call(self):
+        # The level sweeps buffer their broadcasts SWEEP_BUFSIZE elements
+        # at a time, not a block's worth: about 203 KB here, where
+        # block-sized buffers took 326 KB.
+        s, q = generate_pair(SyntheticSpec(250, 0.99, 7))
+        tracemalloc.start()
+        try:
+            dc_align(s, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 260_000, peak
 
     def test_computed_cells_exceed_dense_due_to_recomputation(self):
         rng = np.random.default_rng(18)

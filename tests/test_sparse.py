@@ -323,16 +323,20 @@ class TestSparseDtw:
     def test_peak_memory_per_open_cell(self):
         # The forward pass keeps a one-byte step code per open cell, not
         # its 8-byte cost, and skews the open set into the sweep's slots
-        # 64 slots at a time, never as bools of the whole matrix: about
-        # 2.8 B per open cell at L = 1000, 4.5 while the whole skew and
-        # the bools it was copied from were alive.  The call peaks in the
-        # sweep, where the open set is held once, packed, beside one block
-        # of rows: 7.9 B per open cell at L = 120, and 9.4 while the local
-        # costs were subtracted into the rows through block-sized
-        # buffers.  The packed rows stay the matrix's store, so at
-        # L = 3000 the peak is the sweep's, 1.7 B per open cell, where
-        # reading the rows back as Python ints after the sweep took 1.9.
-        cases = [(1000, 0.95, 0.5, 3.5), (120, 0.0, 0.1, 8.8), (3000, 0.95, 0.5, 1.8)]
+        # 64 slots at a time, never as bools of the whole matrix.  The
+        # call peaks in the sweep, where the open set is held once,
+        # packed, beside the codes and one block of rows, its mask and its
+        # codes: numpy buffers the block's broadcast SWEEP_BUFSIZE
+        # elements at a time, and no earlier block's or skew chunk's
+        # temporaries are alive: about 6.4 B per open cell at L = 120 and
+        # 3.2 at L = 250, res 1, where block-sized broadcast buffers and
+        # the last block's temporaries took 7.3 and 4.1.
+        cases = [
+            (1000, 0.95, 0.5, 3.5),
+            (120, 0.0, 0.1, 7.1),
+            (250, 0.99, 1.0, 3.6),
+            (3000, 0.95, 0.5, 1.8),
+        ]
         for L, rho, res, bound in cases:
             s, q = generate_pair(SyntheticSpec(L, rho, 7))
             tracemalloc.start()
