@@ -405,11 +405,14 @@ def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
     # Diagonal first, then vertical, then horizontal, each by strict <.
     # The horizontal winners are merged as 2 by a maximum, not a masked
     # store, which branches per cell and is slower on irregular masks.
-    # They are found as two bool comparisons, so that no float
-    # temporary of the block's size is allocated.
-    np.less(vert, diag, out=out[1:].view(bool))
-    horz_wins = horz < diag
-    horz_wins &= horz < vert
+    # They are found as two bool comparisons, the first made in the
+    # output, so that only one bool temporary of the block's size is
+    # allocated.
+    vert_wins = out[1:].view(bool)
+    np.less(horz, diag, out=vert_wins)
+    horz_wins = horz < vert
+    horz_wins &= vert_wins
+    np.less(vert, diag, out=vert_wins)
     horz_wins = horz_wins.view(np.uint8)
     horz_wins += horz_wins
     np.maximum(out[1:], horz_wins, out=out[1:])

@@ -32,7 +32,7 @@ __all__ = [
 
 # Refuse dense matrices beyond this many cells (128 MB of float64), the
 # point where the dense baseline stops being usable on ordinary
-# hardware.  Sparse at res 1 is exact and keeps about a byte per cell.
+# hardware.  Sparse at res 1 is exact and keeps under a byte per cell.
 DENSE_CELL_BUDGET = 16_000_000
 
 

@@ -15,13 +15,14 @@ minimal counterexample).
 
 Open cells are stored per anti-diagonal (see ``SparseMatrix``): the
 cost sweep's own packed rows, a bit per diagonal slot, and one flat
-uint8 buffer of step codes in diagonal-major order, 1 byte per open
-cell plus one to two bits per matrix cell, where a dense matrix takes
-8 bytes per cell; a call peaks at little more than that, beside one
-block of the sweep (see ``SparseMatrix``).  The accumulated costs
-are computed again, by the same sweep, only when a caller asks for
-them.  The unblocking pass works on whole columns of bits at a time
-and the cost sweep on whole anti-diagonals of the shorter side.
+uint8 buffer of two-bit step codes in diagonal-major order, four to a
+byte: 2 bits per open cell plus one to two bits per matrix cell, where
+a dense matrix takes 8 bytes per cell; a call peaks at little more
+than that, beside one block of the sweep (see ``SparseMatrix``).  The
+accumulated costs are computed again, by the same sweep, only when a
+caller asks for them.  The unblocking pass works on whole columns of
+bits at a time and the cost sweep on whole anti-diagonals of the
+shorter side.
 The public contract speaks in 1-based column-major linear indices:
 index(i, j) = (j - 1) * n + i.
 """
@@ -165,27 +166,28 @@ class SparseMatrix:
       uint8 array whose row d has bit p set (8 bits a byte,
       little-endian) when the diagonal's slot p is open, slot p being
       the cell in 1-based row p when m > n, else in 1-based column p
-      (``_above``); ``diag_off``, n + m offsets into ``steps``, from a
-      popcount of each row; ``steps``, one uint8 per open cell,
+      (``_above``); ``diag_off``, n + m offsets into the codes, from a
+      popcount of each row; ``steps``, a two-bit code per open cell,
       diagonal-major with slots ascending, naming the lower neighbor
       that ``backtrack_path`` takes from the cell (0 diagonal,
-      1 vertical, 2 horizontal); and ``cost``, the accumulated cost at
-      (n, m).  The code of diagonal d's open bit p sits at
-      ``diag_off[d + 1]`` less the popcount of the row's bits from p on,
-      read as an int from the row's bytes from p // 8 on, so a query
-      touches only those bytes.  That is 1 byte per open cell plus, per
-      diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte offset.
-      A whole ``sparse_dtw`` call peaks in the sweep, which holds the
-      rows beside the codes and one block of the sweep's costs, open
-      mask and codes: 6.4 bytes per open cell (tracemalloc) at L = 120,
-      rho 0, res 0.1, and 2.7 at L = 1000, rho 0.95, res 0.5.  At
-      L = 3000 the backtrack's bytes copy of the rows peaks higher, at
-      1.7.
+      1 vertical, 2 horizontal), code e at bits 2 * (e % 4) of uint8
+      ``steps[e // 4]`` and zeros past the last; and ``cost``, the
+      accumulated cost at (n, m).  Diagonal d's open bit p is code
+      e = ``diag_off[d + 1]`` less the popcount of the row's bits from
+      p on, read as an int from the row's bytes from p // 8 on, so a
+      query touches only those bytes.  That is 2 bits per open cell
+      plus, per diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte
+      offset.  A whole ``sparse_dtw`` call peaks in the sweep, which
+      holds the rows beside the codes and one block of the sweep's
+      costs, open mask and codes: 5.8 bytes per open cell (tracemalloc)
+      at L = 120, rho 0, res 0.1, and 1.8 at L = 1000, rho 0.95,
+      res 0.5.  At L = 3000 the backtrack's bytes copy of the rows
+      peaks higher, at 0.92.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
-    sweep on first use and cache its costs (8 bytes per open cell), in
-    the layout of ``steps``.  ``col_rows`` (bin-opened rows),
+    sweep on first use and cache its costs (8 bytes per open cell), one
+    per code, in the codes' order.  ``col_rows`` (bin-opened rows),
     ``col_open_rows`` (final open rows) and ``col_vals`` (each column's
     costs, rows ascending) are read-only column-major views, derived
     with numpy on each access from about 32 transient bytes per open
@@ -214,7 +216,7 @@ class SparseMatrix:
 
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The open cells in column-major order: their columns, their
-        rows (0-based) and the index of each one's entry in ``steps``."""
+        rows (0-based) and the index of each one's step code."""
         self._check_finished()
         n = self.n
         # Bit p of diagonal d, at flat index d * w + p, is slot p: swept
@@ -237,8 +239,8 @@ class SparseMatrix:
         return [values[a:b] for a, b in pairwise(ends)]
 
     def _costs(self) -> np.ndarray:
-        """Every open cell's accumulated cost, laid out like ``steps``:
-        the cost sweep run again, once."""
+        """Every open cell's accumulated cost, in the order of the step
+        codes: the cost sweep run again, once."""
         if self._vals is None:
             self._vals = _sweep(self, self.diag_off[-1], False)[0]
         return self._vals
@@ -478,7 +480,8 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
 def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float]:
     """The cost sweep over ``sm.diag_open``, its ``count`` open cells in
     the sweep's slots (row d, bit c + 1 for swept cell (d - c, c)): each
-    open cell's step code (``steps``) or accumulated cost, diagonal-major
+    open cell's step code (``steps``, four to a byte as
+    ``SparseMatrix.steps`` keeps them) or accumulated cost, diagonal-major
     with slots ascending, and the accumulated cost at (n, m)."""
     n, m, packed = sm.n, sm.m, sm.diag_open
     wide = m > n
@@ -501,8 +504,8 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
     # open, so its local cost is inf.  Blocks grow with the open cells
     # per slot, so a thin matrix takes few, and its rows stay within
     # about a byte per open cell.  ``fill`` leaves its block's open mask
-    # for the read-back below, which drops it with the block's codes, so
-    # no two blocks' masks or codes are alive at once.
+    # for the read-back below, which drops it once the block's codes are
+    # gathered, so no two blocks' masks or codes are alive at once.
     block = max(8, min(64, count // (8 * (size + 1))))
     is_open = None
 
@@ -512,26 +515,51 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
         is_open = np.unpackbits(
             packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
         ).view(bool)
-        # Copied, then subtracted in place: a subtract straight from the
-        # overlapping rows of ``down_diag`` buffered two blocks.  The
-        # broadcast is buffered ``SWEEP_BUFSIZE`` elements at a time.
-        rows[:] = down_diag[d0 : d0 + k]
-        rows -= across_slots
+        # One subtract straight into the rows, its broadcast buffered
+        # ``SWEEP_BUFSIZE`` elements at a time: a copy and then an
+        # in-place subtract buffered more.
+        np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
         rows *= rows
         np.putmask(rows, ~is_open, _INF)
 
-    out = np.empty(count, np.uint8 if steps else float)
+    # Codes are stored four to a byte; the at most three codes that a
+    # block leaves past its last whole byte are carried into the next
+    # block's, and zero-padded after the last block.
+    out = np.empty(-(-count // 4), np.uint8) if steps else np.empty(count)
+    carry = out[:0]
     off = 0
     with sweep_buffer():
         for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
-            swept = step_codes(rows, wide) if steps else rows[2:]
-            got = swept[is_open]
+            got = (step_codes(rows, wide) if steps else rows[2:])[is_open]
+            is_open = None
+            if steps:
+                got = np.concatenate((carry, got))
+                carry = got[got.size & -4 :].copy()
+                got = _pack(got)
             out[off : off + got.size] = got
             off += got.size
             last = rows.item(-1, -1)
-            del swept, got
-            is_open = None
+            del got
+    if steps:
+        out[off:] = _pack(np.concatenate((carry, np.zeros(3, np.uint8))))
     return out, last
+
+
+# Multiplying a little-endian word of four step codes c0 .. c3, one a
+# byte, by ``_PACK`` leaves c0 + 4 c1 + 16 c2 + 64 c3 in its top byte:
+# the product wraps, and its terms below bit 24 sum to less than 2**24
+# for codes of at most 2.
+_PACK = 1 << 6 | 1 << 12 | 1 << 18 | 1 << 24
+
+
+def _pack(codes: np.ndarray) -> np.ndarray:
+    """Each whole four of the step codes ``codes`` (uint8, packed in
+    place) as one byte, code e at bits 2 * (e % 4) of byte e // 4: a
+    view into ``codes``."""
+    whole = codes.size & -4
+    words = codes[:whole].view("<u4")
+    words *= _PACK
+    return codes[3:whole:4]
 
 
 def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
@@ -557,7 +585,8 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
         at = d * w + (slot >> 3)
         # A last byte is indexed, not copied: a thin matrix's rows are one byte.
         above = rows[at] if slot >> 3 == w - 1 else int.from_bytes(rows[at : d * w + w], "little")
-        code = steps[ends[d + 1] - (above >> (slot & 7)).bit_count()]
+        e = ends[d + 1] - (above >> (slot & 7)).bit_count()
+        code = steps[e >> 2] >> ((e & 3) << 1) & 3
         if code != 2:
             i -= 1
         if code != 1:

@@ -162,3 +162,22 @@ def reference_dc(s: TimeSeries, q: TimeSeries, mid_mode: str = "ceil"):
         d = sv[i] - qv[j]
         raw += d * d
     return splits, [(i + 1, j + 1) for i, j in cells], raw, stats
+
+
+def first_hop(grid: dict, i: int, j: int) -> tuple[int, int]:
+    """``backtrack_path``'s first hop from (i, j) over ``grid``'s costs.
+
+    Every probe of a later hop sees 0.0, so the walk always ends: cells
+    off the first hop's neighbors cost 0.0, and a neighbor probed again
+    is probed by a later hop.
+    """
+    neighbors = {(i - 1, j - 1), (i - 1, j), (i, j - 1)}
+    probed = set()
+
+    def cost(a, b):
+        if (a, b) in neighbors and (a, b) not in probed:
+            probed.add((a, b))
+            return grid[a, b]
+        return 0.0
+
+    return backtrack_path(cost, i, j)[-2]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import first_hop
 from tswarp import (
     SyntheticSpec,
     TimeSeries,
@@ -174,25 +175,6 @@ class TestNormalizedDistance:
 cell_costs = st.sampled_from([0.0, 1.0, 2.0, INF, None])
 
 
-def _first_hop(grid: dict, i: int, j: int) -> tuple[int, int]:
-    """``backtrack_path``'s first hop from (i, j) over ``grid``'s costs.
-
-    Every probe of a later hop sees 0.0, so the walk always ends: cells
-    off the first hop's neighbors cost 0.0, and a neighbor probed again
-    is probed by a later hop.
-    """
-    neighbors = {(i - 1, j - 1), (i - 1, j), (i, j - 1)}
-    probed = set()
-
-    def cost(a, b):
-        if (a, b) in neighbors and (a, b) not in probed:
-            probed.add((a, b))
-            return grid[a, b]
-        return 0.0
-
-    return backtrack_path(cost, i, j)[-2]
-
-
 def test_backtrack_with_no_open_lower_neighbor_is_broken():
     # Only the corners and (1, 2) are open: (3, 3) has no open neighbor below.
     open_cells = {(1, 1): 0.0, (1, 2): 1.0, (3, 3): 2.0}
@@ -224,7 +206,7 @@ class TestStepCodes:
                 continue  # no path back from a finite cost passes here
             u, c = (j - 1, i - 1) if transposed else (i - 1, j - 1)
             di, dj = hops[codes[u + c, c + 1]]
-            assert (i + di, j + dj) == _first_hop(grid, i, j)
+            assert (i + di, j + dj) == first_hop(grid, i, j)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import path_cost, random_pair
+from helpers import first_hop, path_cost, random_pair
 from tswarp import (
     SyntheticSpec,
     TimeSeries,
@@ -321,21 +321,22 @@ class TestSparseDtw:
             assert forward_space_efficient(s, q)[-1] == 0.0
 
     def test_peak_memory_per_open_cell(self):
-        # The forward pass keeps a one-byte step code per open cell, not
+        # The forward pass keeps a two-bit step code per open cell, not
         # its 8-byte cost, and skews the open set into the sweep's slots
         # 64 slots at a time, never as bools of the whole matrix.  The
         # call peaks in the sweep, where the open set is held once,
         # packed, beside the codes and one block of rows, its mask and its
         # codes: numpy buffers the block's broadcast SWEEP_BUFSIZE
         # elements at a time, and no earlier block's or skew chunk's
-        # temporaries are alive: about 6.4 B per open cell at L = 120 and
-        # 3.2 at L = 250, res 1, where block-sized broadcast buffers and
-        # the last block's temporaries took 7.3 and 4.1.
+        # temporaries are alive.  At L = 3000 the backtrack's bytes copy
+        # of the packed rows peaks a little higher.  In this order the
+        # peaks are about 1.8, 5.8, 2.3 and 0.92 B per open cell, where a
+        # byte per code took 2.7, 6.4, 3.2 and 1.7.
         cases = [
-            (1000, 0.95, 0.5, 3.5),
-            (120, 0.0, 0.1, 7.1),
-            (250, 0.99, 1.0, 3.6),
-            (3000, 0.95, 0.5, 1.8),
+            (1000, 0.95, 0.5, 2.0),
+            (120, 0.0, 0.1, 6.2),
+            (250, 0.99, 1.0, 2.6),
+            (3000, 0.95, 0.5, 1.0),
         ]
         for L, rho, res, bound in cases:
             s, q = generate_pair(SyntheticSpec(L, rho, 7))
@@ -503,6 +504,27 @@ samples = st.lists(
 )
 
 
+def _check_every_code(sm: SparseMatrix) -> None:
+    """Each open cell's step code, read from ``sm.steps`` as
+    ``sparse_backtrack`` reads it (four codes a byte, code e at bits
+    2 * (e % 4) of byte e // 4), is ``backtrack_path``'s first hop over
+    ``sm.accumulated`` wherever a lower neighbor's cost is finite; the
+    bits past the last code are zero."""
+    n, count = sm.n, sm.open_count
+    assert sm.steps.dtype == np.uint8 and sm.steps.size == -(-count // 4)
+    assert int(sm.steps[-1]) >> 2 * ((count - 1) % 4 + 1) == 0
+    hops = [(-1, -1), (-1, 0), (0, -1)]
+    for c in sm.open_cells():
+        i, j = (c - 1) % n + 1, (c - 1) // n + 1
+        cells = [(i + di, j + dj) for di, dj in hops]
+        lower = {cell: sm.accumulated(*cell) for cell in cells if min(cell) >= 1}
+        if not any(v is not None and v < INF for v in lower.values()):
+            continue  # no path back from a finite cost passes here
+        e = sm.diag_off[i + j - 1] - sm._above(i, j).bit_count()
+        di, dj = hops[int(sm.steps[e >> 2]) >> 2 * (e & 3) & 3]
+        assert (i + di, j + dj) == first_hop(lower, i, j)
+
+
 class TestRunCompressedStorage:
     @settings(max_examples=150, deadline=None)
     @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
@@ -548,6 +570,23 @@ class TestRunCompressedStorage:
             assert (int(i), int(j)) == ((int(c) - 1) % n + 1, (int(c) - 1) // n + 1)
             v = cells[int(c)]
             assert a_txt == ("inf" if v == INF else f"{v:g}") and flag == "1"
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
+    def test_every_stored_code_takes_the_backtracker_hop(self, a, b, res):
+        _check_every_code(_filled(TimeSeries("s", a), TimeSeries("q", b), res))
+
+    # One row or one column opens every cell; at 145-148 cells a block is
+    # 9 diagonals, so the codes left past a block's last whole byte, and
+    # the last byte's, run through every count from 0 to 3.
+    @pytest.mark.parametrize("length", [145, 146, 147, 148])
+    @pytest.mark.parametrize("thin", ["row", "column"])
+    def test_every_stored_code_of_a_thin_matrix(self, length, thin):
+        rng = np.random.default_rng(length)
+        long, short = TimeSeries("long", rng.normal(size=length)), TimeSeries("short", [0.0])
+        sm = _filled(short, long, 0.1) if thin == "row" else _filled(long, short, 0.1)
+        assert sm.open_count == length
+        _check_every_code(sm)
 
     @pytest.mark.parametrize("span", [47, 48, 49])
     def test_runs_either_side_of_the_vector_threshold(self, span):
