@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,13 +30,13 @@ __all__ = [
     "sweep_column",
     "dense_columns",
     "SWEEP_BUFSIZE",
-    "sweep_buffer",
     "sweep_diagonals",
     "backtrack_path",
     "step_codes",
 ]
 
 _INF = float("inf")
+_S = TypeVar("_S")  # what a sweep's ``fill`` hands its ``read``
 
 # numpy's ufunc buffer, in elements, while a sweep runs: a broadcast over
 # a 2-D block is buffered this many elements at a time, not up to numpy's
@@ -280,8 +280,9 @@ def sweep_diagonals(
     origins: Sequence[int],
     diags: int,
     block: int,
-    fill: Callable[[int, np.ndarray], None],
-) -> Iterator[np.ndarray]:
+    fill: Callable[[int, np.ndarray], _S],
+    read: Callable[[np.ndarray, _S], None],
+) -> np.ndarray:
     """Accumulated costs of problems laid side by side, swept one
     anti-diagonal at a time, ``block`` diagonals per step.
 
@@ -302,9 +303,14 @@ def sweep_diagonals(
     slot and for every closed or off-matrix cell, so that such a slot
     ends inf whatever its neighbors hold, by arithmetic that cannot
     overflow, since no floating-point warning is silenced.  The rows
-    are then swept in place and yielded after their two carry rows,
-    diagonals d0 - 2 and d0 - 1, valid until the next block.  The rows
-    are whole so that numpy runs each step over one contiguous buffer.
+    are then swept in place and, after their two carry rows, diagonals
+    d0 - 2 and d0 - 1, handed to ``read(rows, state)`` with what the
+    block's ``fill`` returned, which the sweep drops before the next
+    ``fill``.  The rows are whole so that numpy runs each step over one
+    contiguous buffer.  Returns the last diagonal.  The whole sweep,
+    ``fill`` and ``read`` too, runs in one ``np.errstate`` scope with
+    numpy's ufunc buffer at ``SWEEP_BUFSIZE`` elements, and the scope
+    gives the caller's back on return or raise (numpy >= 2.0).
     """
     rows = np.full((block + 2, width), _INF)
     rows[0, origins] = 0.0
@@ -315,29 +321,19 @@ def sweep_diagonals(
     heads = [row[:-1] for row in rows]
     tails = [row[1:] for row in rows]
     best = np.empty(width - 1)
-    for d0 in range(0, diags, block):
-        k = min(block, diags - d0)
-        fill(d0, rows[2 : k + 2])
-        for c, l, u, g in zip(tails[2 : k + 2], heads[1:], tails[1:], heads):
-            np.minimum(l, u, out=best)
-            np.minimum(best, g, out=best)
-            np.add(c, best, out=c)
-        yield rows[: k + 2]
-        rows[:2] = rows[k : k + 2]
-
-
-class sweep_buffer(np.errstate):
-    """numpy's ufunc buffer at ``SWEEP_BUFSIZE`` elements for the body;
-    ``np.errstate`` restores the caller's on leaving (numpy >= 2.0), on
-    return or raise.  Entered once per sweep by the function that loops
-    over ``sweep_diagonals``: held in the generator, the setting would
-    stay on in its caller between blocks and after an unfinished sweep.
-    A subclass, since a ``contextlib.contextmanager`` took about 6 µs to
-    enter against 2."""
-
-    def __enter__(self):
-        super().__enter__()
+    with np.errstate():
         np.setbufsize(SWEEP_BUFSIZE)
+        for d0 in range(0, diags, block):
+            k = min(block, diags - d0)
+            state = fill(d0, rows[2 : k + 2])
+            for c, l, u, g in zip(tails[2 : k + 2], heads[1:], tails[1:], heads):
+                np.minimum(l, u, out=best)
+                np.minimum(best, g, out=best)
+                np.add(c, best, out=c)
+            read(rows[: k + 2], state)
+            del state
+            rows[:2] = rows[k : k + 2]
+    return rows[1]
 
 
 def backtrack_path(
@@ -380,9 +376,9 @@ def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
     horizontal lower neighbor.
 
     ``rows`` is a block of accumulated costs as ``sweep_diagonals``
-    yields it, its two carry rows first; the result holds the code of
-    slot p of ``rows[r + 2]`` at ``[r, p]``, and means nothing in pad
-    slots.  A cell's diagonal neighbor is one slot left two rows up, its
+    hands it to ``read``, its two carry rows first; the result holds the
+    code of slot p of ``rows[r + 2]`` at ``[r, p]``, and means nothing
+    in pad slots.  A cell's diagonal neighbor is one slot left two rows up, its
     left and upper neighbors one slot left and the same slot one row up.
     Swept rows are the matrix's rows, so the upper neighbor is the
     vertical one, unless the sweep runs over the transpose

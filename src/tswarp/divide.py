@@ -28,7 +28,6 @@ from .core import (
     check_cost_range,
     dense_columns,
     local_distance,
-    sweep_buffer,
     sweep_diagonals,
 )
 
@@ -98,8 +97,8 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
     sentinel and the last one's before another.  A slot's sample index
     on a diagonal is clipped to the sentinels around its problem, so an
     off-matrix cell reads inf and its local cost is inf.  The last
-    column's index is also where its cost is kept, in an array laid out
-    like the samples.
+    column's index, which ``fill`` hands to ``read`` with its block, is
+    also where its cost is kept, in an array laid out like the samples.
     """
     ns = [a.size for a, _ in problems]
     ws = [b.size for _, b in problems]
@@ -121,7 +120,7 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
     d = np.arange(diags)[:, None]
     idx = np.empty((_BLOCK, width), np.intp)
 
-    def fill(d0: int, rows: np.ndarray) -> None:
+    def fill(d0: int, rows: np.ndarray) -> np.ndarray:
         at = idx[: len(rows)]
         np.add(d[d0 : d0 + len(rows)], off, out=at)
         np.maximum(at, lo, out=at)
@@ -129,11 +128,13 @@ def _last_columns(problems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndar
         np.take(samples, at, out=rows, mode="clip")
         rows -= across
         rows *= rows
+        return at
+
+    def read(rows: np.ndarray, at: np.ndarray) -> None:
+        out[at[:, ends]] = rows[2:, ends]
 
     out = np.empty(samples.size)
-    with sweep_buffer():  # the broadcasts in ``fill``
-        for rows in sweep_diagonals(width, pads, diags, _BLOCK, fill):
-            out[idx[: len(rows) - 2, ends]] = rows[2:, ends]
+    sweep_diagonals(width, pads, diags, _BLOCK, fill, read)
     return [out[a : a + n] for a, n in zip(starts, ns)]
 
 

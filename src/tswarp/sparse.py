@@ -45,7 +45,6 @@ from .core import (
     local_distance,
     quantize,
     step_codes,
-    sweep_buffer,
     sweep_diagonals,
 )
 
@@ -96,7 +95,7 @@ class BinSet:
 
     def __post_init__(self):
         res = self.res
-        if isinstance(res, bool) or not (0.0 < res <= 1.0):
+        if isinstance(res, (bool, np.bool_)) or not (0.0 < res <= 1.0):
             raise ValueError(f"resolution must be in (0, 1], got {res}")
         if res < MIN_RES:
             raise ValueError(f"resolution must be at least MIN_RES = 2**-30, got {res}")
@@ -503,14 +502,12 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
     # One problem of min(n, m) + 1 slots; slot 0, the pad, is never
     # open, so its local cost is inf.  Blocks grow with the open cells
     # per slot, so a thin matrix takes few, and its rows stay within
-    # about a byte per open cell.  ``fill`` leaves its block's open mask
-    # for the read-back below, which drops it once the block's codes are
-    # gathered, so no two blocks' masks or codes are alive at once.
+    # about a byte per open cell.  ``fill`` returns its block's open
+    # mask for ``read``, and the mask and the codes ``read`` gathers are
+    # freed before the next fill, so no two blocks' are alive at once.
     block = max(8, min(64, count // (8 * (size + 1))))
-    is_open = None
 
-    def fill(d0: int, rows: np.ndarray) -> None:
-        nonlocal is_open
+    def fill(d0: int, rows: np.ndarray) -> np.ndarray:
         k = len(rows)
         is_open = np.unpackbits(
             packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
@@ -521,6 +518,7 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
         np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
         rows *= rows
         np.putmask(rows, ~is_open, _INF)
+        return is_open
 
     # Codes are stored four to a byte; the at most three codes that a
     # block leaves past its last whole byte are carried into the next
@@ -528,21 +526,21 @@ def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float
     out = np.empty(-(-count // 4), np.uint8) if steps else np.empty(count)
     carry = out[:0]
     off = 0
-    with sweep_buffer():
-        for rows in sweep_diagonals(size + 1, [0], n + m - 1, block, fill):
-            got = (step_codes(rows, wide) if steps else rows[2:])[is_open]
-            is_open = None
-            if steps:
-                got = np.concatenate((carry, got))
-                carry = got[got.size & -4 :].copy()
-                got = _pack(got)
-            out[off : off + got.size] = got
-            off += got.size
-            last = rows.item(-1, -1)
-            del got
+
+    def read(rows: np.ndarray, is_open: np.ndarray) -> None:
+        nonlocal carry, off
+        got = (step_codes(rows, wide) if steps else rows[2:])[is_open]
+        if steps:
+            got = np.concatenate((carry, got))
+            carry = got[got.size & -4 :].copy()
+            got = _pack(got)
+        out[off : off + got.size] = got
+        off += got.size
+
+    last = sweep_diagonals(size + 1, [0], n + m - 1, block, fill, read)
     if steps:
         out[off:] = _pack(np.concatenate((carry, np.zeros(3, np.uint8))))
-    return out, last
+    return out, last.item(-1)
 
 
 # Multiplying a little-endian word of four step codes c0 .. c3, one a

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from tswarp import (
     validate_path,
 )
 from tswarp import divide, sparse
-from tswarp.core import SWEEP_BUFSIZE, BrokenPathError, backtrack_path, step_codes
+from tswarp.core import (
+    SWEEP_BUFSIZE,
+    BrokenPathError,
+    backtrack_path,
+    step_codes,
+    sweep_diagonals,
+)
 
 INF = float("inf")
 
@@ -214,27 +221,82 @@ class TestStepCodes:
     [(sparse, sparse_dtw), (divide, dc_align), (divide, forward_space_efficient)],
     ids=["sparse_dtw", "dc_align", "forward_space_efficient"],
 )
-def test_sweeps_restore_numpy_buffer_size(monkeypatch, module, run):
-    # The sweeps run under numpy's ufunc buffer of SWEEP_BUFSIZE elements,
-    # and hand the caller back numpy's default whether they return or
-    # raise partway, even with the sweep's generator left suspended.
+def test_sweeps_restore_numpy_buffer_size(module, run):
+    # The sweeps run under numpy's ufunc buffer of SWEEP_BUFSIZE elements
+    # and hand the caller back numpy's default.
     default = 8192  # numpy's own
     s, q = generate_pair(SyntheticSpec(100, 0.5, 7))
     assert np.getbufsize() == default
     run(s, q)
     assert np.getbufsize() == default
-    sweep = module.sweep_diagonals
-    seen, suspended = [], []
 
-    def second_block_raises(*args):
-        blocks = sweep(*args)
-        suspended.append(blocks)
-        yield next(blocks)
-        seen.append(np.getbufsize())
-        raise RuntimeError("second block")
 
-    monkeypatch.setattr(module, "sweep_diagonals", second_block_raises)
-    with pytest.raises(RuntimeError, match="second block"):
-        run(s, q)
-    assert seen == [SWEEP_BUFSIZE]
-    assert np.getbufsize() == default
+class TestSweepDiagonals:
+    # One problem of three slots, its pad in slot 0, swept over six
+    # diagonals two at a time: three blocks.  The costs do not matter here.
+    CALLER = 4096  # a buffer size that is neither numpy's default nor the sweep's
+
+    def sweep(self, fill, read):
+        return sweep_diagonals(3, [0], 6, 2, fill, read)
+
+    def test_buffer_is_the_sweeps_inside_and_the_callers_after(self):
+        seen = []
+
+        def fill(d0, rows):
+            seen.append(np.getbufsize())
+            rows[:] = 1.0
+
+        def read(rows, state):
+            seen.append(np.getbufsize())
+
+        with np.errstate():
+            np.setbufsize(self.CALLER)
+            self.sweep(fill, read)
+            assert seen == [SWEEP_BUFSIZE] * 6
+            assert np.getbufsize() == self.CALLER
+
+    @pytest.mark.parametrize("raiser", ["fill", "read"])
+    def test_callers_buffer_is_back_after_a_raise(self, raiser):
+        calls = []
+
+        def call(name):
+            calls.append(name)
+            if name == raiser and calls.count(name) == 2:
+                raise RuntimeError("second block")
+
+        def fill(d0, rows):
+            call("fill")
+            rows[:] = 1.0
+
+        with np.errstate():
+            np.setbufsize(self.CALLER)
+            with pytest.raises(RuntimeError, match="second block"):
+                self.sweep(fill, lambda rows, state: call("read"))
+            assert np.getbufsize() == self.CALLER
+        assert calls.count(raiser) == 2
+
+    def test_each_read_gets_its_fills_state_freed_before_the_next_fill(self):
+        class State:
+            def __init__(self, d0):
+                self.d0 = d0
+
+        refs, log = [], []
+
+        def fill(d0, rows):
+            # Every earlier block's state is unreachable by now.
+            log.append([ref() is None for ref in refs])
+            rows[:] = 1.0
+            state = State(d0)
+            refs.append(weakref.ref(state))
+            return state
+
+        def read(rows, state):
+            log.append((state is refs[-1](), state.d0, len(rows)))
+
+        self.sweep(fill, read)
+        assert log == [
+            [], (True, 0, 4),
+            [True], (True, 2, 4),
+            [True, True], (True, 4, 4),
+        ]
+        assert refs[-1]() is None

@@ -22,10 +22,12 @@ from tswarp import (
     upper_neighbors,
     validate_path,
 )
+from tswarp import sparse
 from tswarp.core import QuantizedSeries, backtrack_path
 from tswarp.sparse import (
     MIN_RES,
     BinSet,
+    SparseConnectivityError,
     SparseMatrix,
     dump_lines,
     forward_pass,
@@ -59,7 +61,9 @@ class TestBuildBins:
 
     # A BinSet checks its own resolution, so no stage can be handed one
     # whose count disagrees with it.
-    @pytest.mark.parametrize("res", [0.0, -0.5, 1.5, float("nan"), True])
+    @pytest.mark.parametrize(
+        "res", [0.0, -0.5, 1.5, float("nan"), True, pytest.param(np.True_, id="np.True_")]
+    )
     def test_rejects_bad_resolution(self, res):
         for make in (build_bins, BinSet):
             with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
@@ -759,6 +763,17 @@ class TestBeforeForwardPass:
             sm.accumulated(1, 1)
         with pytest.raises(RuntimeError, match="forward pass has not run yet"):
             sparse_backtrack(sm)
+
+    def test_disconnected_corners_raise_and_finish_nothing(self, sm, monkeypatch):
+        # Unblocking keeps the corners connected, so only a sweep that
+        # reports an infinite (n, m) cost can reach this error.
+        sweep = sparse._sweep
+        monkeypatch.setattr(sparse, "_sweep", lambda *args: (sweep(*args)[0], INF))
+        with pytest.raises(SparseConnectivityError, match="open cells do not connect"):
+            forward_pass(sm, S_FIXTURE, Q_FIXTURE)
+        assert sm.steps is None and sm.cost is None and sm.diag_off is None
+        with pytest.raises(RuntimeError, match="forward pass has not run yet"):
+            sm.open_count
 
     def test_dump_leaves_the_accumulated_field_empty(self, sm):
         # The dump reads only the finished store, so there is no dump with
