@@ -378,8 +378,9 @@ def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
     ``rows`` is a block of accumulated costs as ``sweep_diagonals``
     hands it to ``read``, its two carry rows first; the result holds the
     code of slot p of ``rows[r + 2]`` at ``[r, p]``, and means nothing
-    in pad slots.  A cell's diagonal neighbor is one slot left two rows up, its
-    left and upper neighbors one slot left and the same slot one row up.
+    in pad slots, though every code, there too, is at most 2.  A cell's
+    diagonal neighbor is one slot left two rows up, its left and upper
+    neighbors one slot left and the same slot one row up.
     Swept rows are the matrix's rows, so the upper neighbor is the
     vertical one, unless the sweep runs over the transpose
     (``transposed``), whose rows are the matrix's columns.  Closed and
@@ -398,6 +399,7 @@ def step_codes(rows: np.ndarray, transposed: bool) -> np.ndarray:
     up = flat[width + 1 : width + 1 + size]
     vert, horz = (left, up) if transposed else (up, left)
     out = np.empty(k * width, np.uint8)
+    out[0] = 0  # the first slot has no neighbors in the block
     # Diagonal first, then vertical, then horizontal, each by strict <.
     # The horizontal winners are merged as 2 by a maximum, not a masked
     # store, which branches per cell and is slower on irregular masks.

@@ -13,12 +13,12 @@ OPEN cells.  It equals the true optimum at res = 1 only; below that it
 often does not (see the regression fixtures in the test suite for a
 minimal counterexample).
 
-Open cells are stored per anti-diagonal (see ``SparseMatrix``): the
-cost sweep's own packed rows, a bit per diagonal slot, and one flat
-uint8 buffer of two-bit step codes in diagonal-major order, four to a
-byte: 2 bits per open cell plus one to two bits per matrix cell, where
-a dense matrix takes 8 bytes per cell; a call peaks at little more
-than that, beside one block of the sweep (see ``SparseMatrix``).  The
+Open cells are stored per anti-diagonal (see ``SparseMatrix``): one
+two-bit field per diagonal slot, four to a byte, holding an open cell's
+step code and 3 for any other slot, which the cost sweep reads its open
+set from and writes its codes into.  That is 2 bits per slot, where a
+dense matrix takes 8 bytes per cell; a call peaks at little more than
+that, beside one block of the sweep (see ``SparseMatrix``).  The
 accumulated costs are computed again, by the same sweep, only when a
 caller asks for them.  The unblocking pass works on whole columns of
 bits at a time and the cost sweep on whole anti-diagonals of the
@@ -30,7 +30,6 @@ index(i, j) = (j - 1) * n + i.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 
@@ -153,44 +152,36 @@ def upper_neighbors(c: int, n: int, m: int) -> set[int]:
 
 @dataclass(eq=False)
 class SparseMatrix:
-    """Open cells of the warping matrix, as bitmasks.
+    """Open cells of the warping matrix and the steps between them.
 
     Stored:
 
     - ``col_bin``: each column's bin-opened rows, corners forced in,
       from ``populate``, as an int whose bit r (0-based) is row r's.
-    - After ``forward_pass``, per anti-diagonal d = r + j (0-based row r
-      and column j, d from 0 to n + m - 2): ``diag_open``, the cost
-      sweep's own packed rows, an (n + m - 1) x ((min(n, m) + 8) // 8)
-      uint8 array whose row d has bit p set (8 bits a byte,
-      little-endian) when the diagonal's slot p is open, slot p being
-      the cell in 1-based row p when m > n, else in 1-based column p
-      (``_above``); ``diag_off``, n + m offsets into the codes, from a
-      popcount of each row; ``steps``, a two-bit code per open cell,
-      diagonal-major with slots ascending, naming the lower neighbor
-      that ``backtrack_path`` takes from the cell (0 diagonal,
-      1 vertical, 2 horizontal), code e at bits 2 * (e % 4) of uint8
-      ``steps[e // 4]`` and zeros past the last; and ``cost``, the
-      accumulated cost at (n, m).  Diagonal d's open bit p is code
-      e = ``diag_off[d + 1]`` less the popcount of the row's bits from
-      p on, read as an int from the row's bytes from p // 8 on, so a
-      query touches only those bytes.  That is 2 bits per open cell
-      plus, per diagonal, min(n, m) // 8 + 1 bytes of row and an 8-byte
-      offset.  A whole ``sparse_dtw`` call peaks in the sweep, which
-      holds the rows beside the codes and one block of the sweep's
-      costs, open mask and codes: 5.8 bytes per open cell (tracemalloc)
-      at L = 120, rho 0, res 0.1, and 1.8 at L = 1000, rho 0.95,
-      res 0.5.  At L = 3000 the backtrack's bytes copy of the rows
-      peaks higher, at 0.92.
+    - After ``forward_pass``: ``steps``, one two-bit field per slot of
+      every anti-diagonal d = r + j (0-based row r and column j, d from
+      0 to n + m - 2), an (n + m - 1) x ((min(n, m) + 4) // 4) uint8
+      array whose row d holds slot p's field at bits 2 * (p % 4) of
+      byte p // 4, slot p being the cell in 1-based row p when m > n,
+      else in 1-based column p (``_slot``).  An open cell's field is
+      the step code of the lower neighbor that ``backtrack_path`` takes
+      from it (0 diagonal, 1 vertical, 2 horizontal); a closed cell's,
+      the pad slot 0's and every slot's off the matrix is 3.  So a query
+      or a backtrack hop reads one field, and the store is two bits per
+      slot, where a dense matrix takes 8 bytes per cell.  Also the open
+      cell count and ``cost``, the accumulated cost at (n, m).  A whole
+      ``sparse_dtw`` call peaks in the forward pass, which holds the
+      store beside one chunk of its skew or one block of the sweep's
+      costs, closed mask and codes: 5.4 bytes per open cell
+      (tracemalloc) at L = 120, rho 0, res 0.1, 1.9 at L = 1000,
+      rho 0.95, res 0.5, and 0.89 at L = 3000.
 
     The accumulated costs are not kept by the forward pass.
     ``accumulated``, ``col_vals`` and ``dump_lines`` re-run the same
-    sweep on first use and cache its costs (8 bytes per open cell), one
-    per code, in the codes' order.  ``col_rows`` (bin-opened rows),
-    ``col_open_rows`` (final open rows) and ``col_vals`` (each column's
-    costs, rows ascending) are read-only column-major views, derived
-    with numpy on each access from about 32 transient bytes per open
-    cell.
+    sweep on first use and cache its swept rows whole (8 bytes per
+    slot).  ``col_rows`` (bin-opened rows), ``col_open_rows`` (final
+    open rows) and ``col_vals`` (each column's costs, rows ascending)
+    are read-only column-major views, derived with numpy on each access.
 
     Built from ``n``, ``m`` and ``col_bin``, and finished by ``forward_pass``
     alone, which sets the rest: before it every view, query and count but
@@ -200,10 +191,9 @@ class SparseMatrix:
     n: int
     m: int
     col_bin: list[int]
-    diag_open: np.ndarray | None = field(default=None, init=False)
-    diag_off: array | None = field(default=None, init=False)
     steps: np.ndarray | None = field(default=None, init=False)
     cost: float | None = field(default=None, init=False)
+    _count: int = field(default=0, init=False, repr=False)
     # The forward pass's samples, for the cost sweep and the dump, and the
     # re-run sweep's costs.
     _samples: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
@@ -215,22 +205,21 @@ class SparseMatrix:
 
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The open cells in column-major order: their columns, their
-        rows (0-based) and the index of each one's step code."""
+        rows (0-based) and their flat slot indices d * w + p, w being
+        the slots per diagonal."""
         self._check_finished()
         n = self.n
-        # Bit p of diagonal d, at flat index d * w + p, is slot p: swept
-        # column c = p - 1 and swept row d - c.
-        w = min(n, self.m) + 1
-        bits = np.unpackbits(self.diag_open, axis=1, count=w, bitorder="little")
-        u, c = np.divmod(np.flatnonzero(bits), w)
+        # Slot p of diagonal d is swept column c = p - 1 and swept row d - c.
+        w = 4 * self.steps.shape[1]
+        slots = np.flatnonzero(_open_bytes(self.steps))
+        u, c = np.divmod(slots, w)
         c -= 1
         u -= c
         cols, rows = (u, c) if self.m > n else (c, u)
         # Rows ascend with d within a column, so a stable sort by column
         # is column-major; numpy sorts keys of 16 bits or less by radix.
         order = np.argsort(cols.astype(np.min_scalar_type(self.m)), kind="stable")
-        cols = cols[order]
-        return cols, rows[order], order
+        return cols[order], rows[order], slots[order]
 
     def _per_col(self, cols: np.ndarray, values):
         """``values`` sliced by column, for cells in column-major order."""
@@ -238,10 +227,10 @@ class SparseMatrix:
         return [values[a:b] for a, b in pairwise(ends)]
 
     def _costs(self) -> np.ndarray:
-        """Every open cell's accumulated cost, in the order of the step
-        codes: the cost sweep run again, once."""
+        """Every slot's accumulated cost, laid out as ``steps``' fields:
+        the cost sweep run again, once."""
         if self._vals is None:
-            self._vals = _sweep(self, self.diag_off[-1], False)[0]
+            self._vals = _sweep(self, self.steps, self._count, False)[0]
         return self._vals
 
     @property
@@ -261,31 +250,31 @@ class SparseMatrix:
     @property
     def col_vals(self) -> list[np.ndarray]:
         """Accumulated costs per column, rows ascending."""
-        cols, _, order = self._cells()
-        return self._per_col(cols, self._costs()[order])
+        cols, _, slots = self._cells()
+        return self._per_col(cols, self._costs().reshape(-1)[slots])
 
     @property
     def open_count(self) -> int:
         self._check_finished()
-        return self.diag_off[-1]
+        return self._count
 
     @property
     def unblocked(self) -> int:
         """Open cells that the forward pass opened and the bins did not."""
         return self.open_count - sum(map(int.bit_count, self.col_bin))
 
-    def _above(self, i: int, j: int) -> int:
-        """Open slots of 1-based cell (i, j)'s diagonal from the cell's on,
-        as an int; the slot is row i when m > n (``_sweep``), else j."""
+    def _slot(self, i: int, j: int) -> tuple[int, int, int]:
+        """1-based cell (i, j)'s diagonal, slot and field; the slot is
+        row i when m > n (``_sweep``), else column j."""
         self._check_finished()
         if not (1 <= i <= self.n and 1 <= j <= self.m):
             raise IndexError(f"cell ({i}, {j}) is off the {self.n} x {self.m} matrix")
-        slot = i if self.m > self.n else j
-        return int.from_bytes(self.diag_open[i + j - 2, slot >> 3 :], "little") >> (slot & 7)
+        d, p = i + j - 2, i if self.m > self.n else j
+        return d, p, self.steps.item(d, p >> 2) >> ((p & 3) << 1) & 3
 
     def is_open(self, i: int, j: int) -> bool:
         """1-based cell query."""
-        return bool(self._above(i, j) & 1)
+        return self._slot(i, j)[2] != 3
 
     def open_cells(self) -> list[int]:
         """Sorted 1-based column-major linear indices of open cells."""
@@ -294,10 +283,20 @@ class SparseMatrix:
 
     def accumulated(self, i: int, j: int) -> float | None:
         """1-based accumulated-cost query; None for blocked cells."""
-        above = self._above(i, j)
-        if not above & 1:
-            return None
-        return self._costs().item(self.diag_off[i + j - 1] - above.bit_count())
+        d, p, code = self._slot(i, j)
+        return None if code == 3 else self._costs().item(d, p)
+
+
+def _open_bytes(rows: np.ndarray) -> np.ndarray:
+    """A byte per two-bit field of the store rows ``rows``, slot p at
+    ``[:, p]``: zero where the field is 3, closed, else not."""
+    # Each byte is copied, without carries, into every byte of a
+    # little-endian word, inverted, and byte b keeps field b alone.
+    words = rows.astype("<u4")
+    words *= 0x01010101
+    np.invert(words, out=words)
+    words &= 0xC0300C03
+    return words.view(np.uint8)
 
 
 def _packed(masks: list[int], width: int) -> np.ndarray:
@@ -427,24 +426,26 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
     # sweep would.  A diagonal holds at most min(n, m) cells, so when
     # m > n the sweep runs over the transpose, whose costs are the same
     # (the minimum is symmetric in the left and upper neighbors, and
-    # (a - b)**2 == (b - a)**2).  The open set is skewed into the sweep's
-    # own slots, packed: swept cell (u, c) is slot c + 1 of diagonal
-    # u + c, and slot 0 is column -1, off the matrix.  Those rows are the
-    # sweep's one copy of the open set, and then the matrix's
-    # (``diag_open``).  They are built 64 slots (8 bytes) at a time, so
-    # that the open set is unpacked to bools one chunk of swept columns
-    # at a time, and each chunk's bools are freed before the next's.
+    # (a - b)**2 == (b - a)**2).  The open set is skewed into the store's
+    # fields, 0 for an open slot and 3 for any other: swept cell (u, c)
+    # is slot c + 1 of diagonal u + c, slot 0 is column -1, off the
+    # matrix, and up to three slots pad a row to whole bytes.  Those rows
+    # are the sweep's one copy of the open set, and then the matrix's
+    # ``steps``, once the sweep has ORed each open cell's code into its
+    # field.  They are built 32 slots (8 bytes) at a time, so that the
+    # open set is unpacked to bools one chunk of swept columns at a time,
+    # and each chunk's bools are freed before the next's.
     count = sum(map(int.bit_count, col_open))  # the open cells
     wide = m > n
     size = min(n, m)
     cols = _packed(col_open, n)  # bit r of byte row j: cell (r, j)
     del col_open
-    packed = np.zeros((n + m - 1, (size + 8) // 8), np.uint8)
-    for b0 in range(0, packed.shape[1], 8):
-        # Slots 8 * b0 on, swept columns c0 .. c1 - 1.
-        chunk = packed[:, b0 : b0 + 8]
-        c0 = max(0, 8 * b0 - 1)
-        c1 = min(size, 8 * b0 + 63)
+    steps = np.full((n + m - 1, (size + 4) // 4), 255, np.uint8)
+    for b0 in range(0, steps.shape[1], 8):
+        # Slots 4 * b0 on, swept columns c0 .. c1 - 1.
+        chunk = steps[:, b0 : b0 + 8]
+        c0 = max(0, 4 * b0 - 1)
+        c1 = min(size, 4 * b0 + 31)
         if wide:  # swept columns are bits of the column masks
             lo = c0 // 8
             bits = np.unpackbits(cols[:, lo : -(-c1 // 8)], axis=1, bitorder="little")
@@ -452,95 +453,84 @@ def forward_pass(sm: SparseMatrix, s: TimeSeries, q: TimeSeries) -> SparseMatrix
         else:
             bits = np.unpackbits(cols[c0:c1], axis=1, count=n, bitorder="little").view(bool)
         # bits[c - c0, u] is swept cell (u, c), and goes to row u + c - c0
-        # and bit c + 1 - 8 * b0 of the chunk's skew.
+        # and the low bit of field c + 1 - 4 * b0 of the chunk's skew; the
+        # high bits are copied from the low ones, and the fields inverted.
         width = 8 * chunk.shape[1]
         skew = np.zeros((bits.shape[0] + bits.shape[1] - 1, width), bool)
-        np.ndarray(bits.shape, bool, skew, c0 + 1 - 8 * b0, (width + 1, width))[:] = bits
-        chunk[c0 : c0 + len(skew)] = np.packbits(skew, axis=1, bitorder="little")
-        del bits, skew
-    del cols  # freed before the step codes are allocated
-    sm.diag_open = packed
+        np.ndarray(bits.shape, bool, skew, 2 * (c0 + 1 - 4 * b0), (width + 2, width))[:] = bits
+        got = np.packbits(skew, axis=1, bitorder="little")
+        got |= got << 1
+        np.invert(got, out=chunk[c0 : c0 + len(skew)])
+        del bits, skew, got
+    del cols  # freed before the sweep's rows are allocated
     sm._samples = (s.values, q.values)
     sm._vals = None
-    steps, cost = _sweep(sm, count, True)
+    steps, cost = _sweep(sm, steps, count, True)
     if cost == _INF:
         raise SparseConnectivityError(
             "accumulated cost at (n, m) is infinite; open cells do not "
             "connect the corners"
         )
-    # A diagonal holds at most ``size`` open cells.
-    counts = np.add.reduce(np.bitwise_count(packed), axis=1, dtype=np.min_scalar_type(size))
-    sm.diag_off = array("q", accumulate(counts.tolist(), initial=0))
     sm.steps = steps
     sm.cost = cost
+    sm._count = count
     return sm
 
 
-def _sweep(sm: SparseMatrix, count: int, steps: bool) -> tuple[np.ndarray, float]:
-    """The cost sweep over ``sm.diag_open``, its ``count`` open cells in
-    the sweep's slots (row d, bit c + 1 for swept cell (d - c, c)): each
-    open cell's step code (``steps``, four to a byte as
-    ``SparseMatrix.steps`` keeps them) or accumulated cost, diagonal-major
-    with slots ascending, and the accumulated cost at (n, m)."""
-    n, m, packed = sm.n, sm.m, sm.diag_open
+def _sweep(
+    sm: SparseMatrix, steps: np.ndarray, count: int, codes: bool
+) -> tuple[np.ndarray, float]:
+    """The cost sweep over the open set of the store ``steps``, laid out
+    as ``SparseMatrix.steps`` (field c + 1 of row d for swept cell
+    (d - c, c), 3 when closed), and its ``count`` open cells.  Returns
+    ``steps`` itself with each open cell's step code ORed into its field
+    (``codes``), or else every slot's accumulated cost, row d of slots
+    per diagonal; and the accumulated cost at (n, m)."""
+    n, m = sm.n, sm.m
     wide = m > n
     size = min(n, m)
+    width = 4 * steps.shape[1]
     down, across = sm._samples[::-1] if wide else sm._samples
     # Each slot's samples: down_diag[d, c + 1] = down[d - c] (NaN off the
     # matrix) down the swept rows, across_slots[c + 1] = across[c] (NaN
-    # in slot 0); the samples run backward in ``padded``, so a row of
-    # slots is contiguous.  NaN arithmetic sets no floating-point flag,
-    # and ``fill`` turns every closed slot into inf.
-    pad = np.full(size + 1, np.nan)
-    padded = np.concatenate([pad, down[::-1], pad[:size]])
+    # in slot 0 and in the padding); the samples run backward in
+    # ``padded``, so a row of slots is contiguous.  NaN arithmetic sets no
+    # floating-point flag, and ``fill`` turns every closed slot into inf.
+    pad = np.full(width, np.nan)
+    padded = np.concatenate([pad, down[::-1], pad])
     step = padded.itemsize
     down_diag = np.ndarray(
-        (n + m - 1, size + 1), float, padded, (size - 1 + len(down)) * step, (-step, step)
+        (n + m - 1, width), float, padded, (width - 2 + len(down)) * step, (-step, step)
     )
-    across_slots = np.concatenate([pad[:1], across])
+    across_slots = np.concatenate([pad[:1], across, pad[: width - size - 1]])
     del pad
-    # One problem of min(n, m) + 1 slots; slot 0, the pad, is never
-    # open, so its local cost is inf.  Blocks grow with the open cells
-    # per slot, so a thin matrix takes few, and its rows stay within
-    # about a byte per open cell.  ``fill`` returns its block's open
-    # mask for ``read``, and the mask and the codes ``read`` gathers are
-    # freed before the next fill, so no two blocks' are alive at once.
+    # One problem of ``width`` slots; slot 0, the pad, is never open, so
+    # its local cost is inf.  Blocks grow with the open cells per slot, so
+    # a thin matrix takes few, and its rows stay within about a byte per
+    # open cell.  ``fill`` reads its block's closed mask from the fields
+    # and frees it; ``read`` ORs the block's codes into the same rows,
+    # unmasked, since a closed field is 3 and every code at most 2.
     block = max(8, min(64, count // (8 * (size + 1))))
+    out = steps if codes else np.empty((n + m - 1, width))
 
     def fill(d0: int, rows: np.ndarray) -> np.ndarray:
         k = len(rows)
-        is_open = np.unpackbits(
-            packed[d0 : d0 + k], axis=1, count=size + 1, bitorder="little"
-        ).view(bool)
         # One subtract straight into the rows, its broadcast buffered
         # ``SWEEP_BUFSIZE`` elements at a time: a copy and then an
         # in-place subtract buffered more.
         np.subtract(down_diag[d0 : d0 + k], across_slots, out=rows)
         rows *= rows
-        np.putmask(rows, ~is_open, _INF)
-        return is_open
+        np.putmask(rows, _open_bytes(steps[d0 : d0 + k]) == 0, _INF)
+        return out[d0 : d0 + k]
 
-    # Codes are stored four to a byte; the at most three codes that a
-    # block leaves past its last whole byte are carried into the next
-    # block's, and zero-padded after the last block.
-    out = np.empty(-(-count // 4), np.uint8) if steps else np.empty(count)
-    carry = out[:0]
-    off = 0
+    def read(rows: np.ndarray, dst: np.ndarray) -> None:
+        if codes:
+            dst |= _pack(step_codes(rows, wide))
+        else:
+            dst[:] = rows[2:]
 
-    def read(rows: np.ndarray, is_open: np.ndarray) -> None:
-        nonlocal carry, off
-        got = (step_codes(rows, wide) if steps else rows[2:])[is_open]
-        if steps:
-            got = np.concatenate((carry, got))
-            carry = got[got.size & -4 :].copy()
-            got = _pack(got)
-        out[off : off + got.size] = got
-        off += got.size
-
-    last = sweep_diagonals(size + 1, [0], n + m - 1, block, fill, read)
-    if steps:
-        out[off:] = _pack(np.concatenate((carry, np.zeros(3, np.uint8))))
-    return out, last.item(-1)
+    last = sweep_diagonals(width, [0], n + m - 1, block, fill, read)
+    return out, last.item(size)
 
 
 # Multiplying a little-endian word of four step codes c0 .. c3, one a
@@ -551,13 +541,12 @@ _PACK = 1 << 6 | 1 << 12 | 1 << 18 | 1 << 24
 
 
 def _pack(codes: np.ndarray) -> np.ndarray:
-    """Each whole four of the step codes ``codes`` (uint8, packed in
-    place) as one byte, code e at bits 2 * (e % 4) of byte e // 4: a
-    view into ``codes``."""
-    whole = codes.size & -4
-    words = codes[:whole].view("<u4")
+    """Each four step codes of a row of ``codes`` (uint8, rows a multiple
+    of four long, packed in place) as one byte, code p at bits
+    2 * (p % 4) of byte p // 4: a view into ``codes``."""
+    words = codes.view("<u4")
     words *= _PACK
-    return codes[3:whole:4]
+    return codes[:, 3::4]
 
 
 def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
@@ -570,21 +559,14 @@ def sparse_backtrack(sm: SparseMatrix) -> WarpingPath:
     """
     sm._check_finished()
     n = sm.n
-    w = sm.diag_open.shape[1]
-    rows = sm.diag_open.tobytes()
-    ends = sm.diag_off
-    steps = sm.steps.data
+    w = sm.steps.shape[1]
+    steps = sm.steps.data.cast("B")
     wide = sm.m > n
     i, j = n, sm.m
     path = [(i, j)]
     while i > 1 or j > 1:
-        d = i + j - 2
-        slot = i if wide else j  # ``SparseMatrix._above``, without a call per hop
-        at = d * w + (slot >> 3)
-        # A last byte is indexed, not copied: a thin matrix's rows are one byte.
-        above = rows[at] if slot >> 3 == w - 1 else int.from_bytes(rows[at : d * w + w], "little")
-        e = ends[d + 1] - (above >> (slot & 7)).bit_count()
-        code = steps[e >> 2] >> ((e & 3) << 1) & 3
+        slot = i if wide else j  # ``SparseMatrix._slot``, without a call per hop
+        code = steps[(i + j - 2) * w + (slot >> 2)] >> ((slot & 3) << 1) & 3
         if code != 2:
             i -= 1
         if code != 1:
@@ -621,10 +603,10 @@ def dump_lines(sm: SparseMatrix) -> list[str]:
     dense dump.
     """
     n = sm.n
-    cols, rows, order = sm._cells()
+    cols, rows, slots = sm._cells()
     sv, qv = (v.tolist() for v in sm._samples)
     out = []
-    for j, r, v in zip(cols.tolist(), rows.tolist(), sm._costs()[order].tolist()):
+    for j, r, v in zip(cols.tolist(), rows.tolist(), sm._costs().reshape(-1)[slots].tolist()):
         lc = local_distance(sv[r], qv[j])
         lc_txt = "-1" if lc == 0.0 else f"{lc:g}"
         out.append(f"{j * n + r + 1},{r + 1},{j + 1},{lc_txt},{v:g},1")

@@ -206,6 +206,7 @@ class TestStepCodes:
             rows[u + c + 2, c + 1] = INF if v is None else v
         codes = step_codes(rows, transposed)
         assert codes.shape == (down + across - 1, across + 1)
+        assert codes.max() <= 2  # pad and inf slots too: sparse packs and ORs them
         hops = [(-1, -1), (-1, 0), (0, -1)]
         for (i, j) in grid:
             lower = [grid.get((i + di, j + dj)) for di, dj in hops]

@@ -325,17 +325,16 @@ class TestSparseDtw:
             assert forward_space_efficient(s, q)[-1] == 0.0
 
     def test_peak_memory_per_open_cell(self):
-        # The forward pass keeps a two-bit step code per open cell, not
-        # its 8-byte cost, and skews the open set into the sweep's slots
-        # 64 slots at a time, never as bools of the whole matrix.  The
-        # call peaks in the sweep, where the open set is held once,
-        # packed, beside the codes and one block of rows, its mask and its
-        # codes: numpy buffers the block's broadcast SWEEP_BUFSIZE
-        # elements at a time, and no earlier block's or skew chunk's
-        # temporaries are alive.  At L = 3000 the backtrack's bytes copy
-        # of the packed rows peaks a little higher.  In this order the
-        # peaks are about 1.8, 5.8, 2.3 and 0.92 B per open cell, where a
-        # byte per code took 2.7, 6.4, 3.2 and 1.7.
+        # The forward pass keeps a two-bit field per diagonal slot, an
+        # open cell's step code, not its 8-byte cost, and skews the open
+        # set into the fields 32 slots at a time, never as bools of the
+        # whole matrix.  The call peaks in the forward pass, where the
+        # fields are held once beside one skew chunk or one block of
+        # rows, its closed mask and its codes: numpy buffers the block's
+        # broadcast SWEEP_BUFSIZE elements at a time, and no earlier
+        # block's or chunk's temporaries are alive.  In this order the
+        # peaks are about 1.9, 5.4, 2.2 and 0.89 B per open cell, where a
+        # byte per open cell's code took 2.7, 6.4, 3.2 and 1.7.
         cases = [
             (1000, 0.95, 0.5, 2.0),
             (120, 0.0, 0.1, 6.2),
@@ -351,6 +350,22 @@ class TestSparseDtw:
             finally:
                 tracemalloc.stop()
             assert peak < bound * r.computed_cells, (L, peak / r.computed_cells)
+
+    @pytest.mark.parametrize("L", [1000, 3000])
+    def test_backtrack_peak_per_path_step(self, L):
+        # A hop reads one field straight from the store, so the backtrack
+        # copies none of it and peaks at about the path it builds; a bytes
+        # copy of the open set took 275 and 757 B per step here.
+        s, q = generate_pair(SyntheticSpec(L, 0.95, 7))
+        sm = _filled(s, q, 0.5)
+        sparse_backtrack(sm)
+        tracemalloc.start()
+        try:
+            path = sparse_backtrack(sm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * len(path), (L, peak / len(path))
 
     @pytest.mark.parametrize("res", [1e-5, MIN_RES])
     def test_fine_resolutions_are_served(self, res):
@@ -508,25 +523,42 @@ samples = st.lists(
 )
 
 
-def _check_every_code(sm: SparseMatrix) -> None:
-    """Each open cell's step code, read from ``sm.steps`` as
-    ``sparse_backtrack`` reads it (four codes a byte, code e at bits
-    2 * (e % 4) of byte e // 4), is ``backtrack_path``'s first hop over
-    ``sm.accumulated`` wherever a lower neighbor's cost is finite; the
-    bits past the last code are zero."""
-    n, count = sm.n, sm.open_count
-    assert sm.steps.dtype == np.uint8 and sm.steps.size == -(-count // 4)
-    assert int(sm.steps[-1]) >> 2 * ((count - 1) % 4 + 1) == 0
+def _check_every_code(sm: SparseMatrix, open_cells: list[int]) -> None:
+    """Every field of ``sm.steps``, decoded as ``sparse_backtrack`` reads
+    it (slot p of diagonal d at bits 2 * (p % 4) of byte p // 4 of row
+    d; the slot is row i when m > n, else column j): each cell of
+    ``open_cells``, the open set computed independently, holds
+    ``backtrack_path``'s first hop over ``sm.accumulated`` wherever a
+    lower neighbor's cost is finite; every closed cell, the pad slot and
+    every slot off the matrix or past min(n, m) holds 3; exactly
+    ``open_count`` in-matrix fields differ from 3."""
+    n, m = sm.n, sm.m
+    store = sm.steps
+    rows, nbytes = n + m - 1, (min(n, m) + 4) // 4
+    assert store.dtype == np.uint8 and store.shape == (rows, nbytes)
+    fields = np.stack([store >> 2 * b & 3 for b in range(4)], axis=2).reshape(rows, 4 * nbytes)
+    open_set = set(open_cells)
     hops = [(-1, -1), (-1, 0), (0, -1)]
-    for c in sm.open_cells():
-        i, j = (c - 1) % n + 1, (c - 1) // n + 1
-        cells = [(i + di, j + dj) for di, dj in hops]
-        lower = {cell: sm.accumulated(*cell) for cell in cells if min(cell) >= 1}
-        if not any(v is not None and v < INF for v in lower.values()):
-            continue  # no path back from a finite cost passes here
-        e = sm.diag_off[i + j - 1] - sm._above(i, j).bit_count()
-        di, dj = hops[int(sm.steps[e >> 2]) >> 2 * (e & 3) & 3]
-        assert (i + di, j + dj) == first_hop(lower, i, j)
+    differ = 0
+    for d in range(rows):
+        for p in range(4 * nbytes):
+            i, j = (p, d + 2 - p) if m > n else (d + 2 - p, p)
+            field = int(fields[d, p])
+            if p == 0 or not (1 <= i <= n and 1 <= j <= m):
+                assert field == 3, ("off the matrix", d, p, field)
+                continue
+            differ += field != 3
+            if (j - 1) * n + i not in open_set:
+                assert field == 3, ("closed", i, j, field)
+                continue
+            assert field != 3, ("open", i, j)
+            cells = [(i + di, j + dj) for di, dj in hops]
+            lower = {cell: sm.accumulated(*cell) for cell in cells if min(cell) >= 1}
+            if not any(v is not None and v < INF for v in lower.values()):
+                continue  # no path back from a finite cost passes here
+            di, dj = hops[field]
+            assert (i + di, j + dj) == first_hop(lower, i, j)
+    assert differ == sm.open_count == len(open_set)
 
 
 class TestRunCompressedStorage:
@@ -578,11 +610,12 @@ class TestRunCompressedStorage:
     @settings(max_examples=100, deadline=None)
     @given(samples, samples, st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
     def test_every_stored_code_takes_the_backtracker_hop(self, a, b, res):
-        _check_every_code(_filled(TimeSeries("s", a), TimeSeries("q", b), res))
+        s, q = TimeSeries("s", a), TimeSeries("q", b)
+        _check_every_code(_filled(s, q, res), _reference_engine(s, q, res)[1])
 
-    # One row or one column opens every cell; at 145-148 cells a block is
-    # 9 diagonals, so the codes left past a block's last whole byte, and
-    # the last byte's, run through every count from 0 to 3.
+    # One row or one column opens every cell: each diagonal's one byte
+    # holds the pad slot, the cell and two padding slots, swept in blocks
+    # of 9 diagonals.
     @pytest.mark.parametrize("length", [145, 146, 147, 148])
     @pytest.mark.parametrize("thin", ["row", "column"])
     def test_every_stored_code_of_a_thin_matrix(self, length, thin):
@@ -590,7 +623,19 @@ class TestRunCompressedStorage:
         long, short = TimeSeries("long", rng.normal(size=length)), TimeSeries("short", [0.0])
         sm = _filled(short, long, 0.1) if thin == "row" else _filled(long, short, 0.1)
         assert sm.open_count == length
-        _check_every_code(sm)
+        _check_every_code(sm, list(range(1, length + 1)))
+
+    # min(n, m) + 1 slots of 3, 4, 5, 8 and 9 fill a row's last byte with
+    # one to four fields, or spill one into a new byte; 32 and 33 fill the
+    # skew's first chunk of 32 slots, or spill one into a second.
+    @pytest.mark.parametrize("short", [2, 3, 4, 7, 8, 31, 32])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_every_stored_code_across_a_byte_of_fields(self, short, wide):
+        rng = np.random.default_rng(short)
+        a, b = TimeSeries("a", rng.normal(size=40)), TimeSeries("b", rng.normal(size=short))
+        s, q = (b, a) if wide else (a, b)
+        for res in (0.25, 1.0):
+            _check_every_code(_filled(s, q, res), _reference_engine(s, q, res)[1])
 
     @pytest.mark.parametrize("span", [47, 48, 49])
     def test_runs_either_side_of_the_vector_threshold(self, span):
@@ -771,7 +816,7 @@ class TestBeforeForwardPass:
         monkeypatch.setattr(sparse, "_sweep", lambda *args: (sweep(*args)[0], INF))
         with pytest.raises(SparseConnectivityError, match="open cells do not connect"):
             forward_pass(sm, S_FIXTURE, Q_FIXTURE)
-        assert sm.steps is None and sm.cost is None and sm.diag_off is None
+        assert sm.steps is None and sm.cost is None
         with pytest.raises(RuntimeError, match="forward pass has not run yet"):
             sm.open_count
 

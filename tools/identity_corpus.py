@@ -31,8 +31,8 @@ paths, cell counts, dc splits and ``SpaceStats`` as ``[peak,
 computed_cells]``, sparse matrix contents,
 quantized samples as float.hex, or the error type and message.  A
 stage record hashes the finished store as the sweep wrote it (the
-``steps`` and ``diag_open`` bytes and the ``diag_off`` offsets), the
-matrix's column views, its ``accumulated`` query as float.hex over
+``steps`` bytes, one two-bit field per diagonal slot), the matrix's
+column views, its ``accumulated`` query as float.hex over
 every open cell, its ``dump_lines`` dump and, on pairs of up to 4,000
 cells, its ``is_open`` query over every cell.  The ``bench`` records hold ``run_benchmark``'s
 rows (``elapsed_ms`` dropped) and failures for full, dc, band at width 2 and sparse at
@@ -275,8 +275,6 @@ def dump(src: str, out_path: str) -> None:
             "accumulated": sha(",".join(sm.accumulated(i, j).hex() for i, j in cells)),
             "dump": sha("\n".join(dump_lines(sm))),
             "steps": hashlib.sha256(sm.steps.tobytes()).hexdigest(),
-            "diag_open": hashlib.sha256(sm.diag_open.tobytes()).hexdigest(),
-            "diag_off": sha(repr(list(sm.diag_off))),
         }
         if n * m <= 4000:
             grid = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
